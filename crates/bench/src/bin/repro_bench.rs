@@ -16,7 +16,7 @@
 //! `peak_trace_bytes`, gated at <= the budget), and the
 //! `serve_sustained_rps` serving scenario — a closed-loop mixed
 //! campaign (every fig8 grid point plus two sharded campaign points,
-//! each duplicated `MILLER_SERVE_DUP` times, default 3, and shuffled)
+//! each duplicated [`SERVE_DUP`] times and shuffled)
 //! driven by 4 concurrent clients against a warm `serve::Engine`,
 //! gated at >= 2x the cold spawn-per-request baseline and at
 //! byte-identical responses vs one-shot runs at worker counts 1 and 4 —
@@ -27,10 +27,13 @@
 //! events for the churn pair, and index operations for the LRU
 //! microbench.
 //!
-//! Thread count follows the harness: `MILLER_THREADS`, then
-//! `RAYON_NUM_THREADS`, then all available cores. `MILLER_BENCH_SCALE`
-//! overrides the scale divisor (default 16; CI uses a higher divisor
-//! for a quicker run).
+//! Flags are parsed by `mio`'s `RunConfig::from_args`, but only these
+//! run flags are accepted: `--threads N` sizes the sweep pool (default:
+//! the `MILLER_THREADS` / `RAYON_NUM_THREADS` environment, then all
+//! available cores), and `--timeline`, `--timeline-out` and `--profile*`
+//! attach the observers. The shared store takes its `MILLER_TRACE_*`
+//! environment defaults. Every sweep runs at the fixed scale divisor
+//! [`SCALE`].
 //!
 //! The engine-phase microbenches (`event_queue_churn`, `cache_ops_churn`,
 //! `device_model_access`) time each hot-path component in isolation at
@@ -59,17 +62,16 @@
 //! recorder occupancy plus the enabled-vs-disabled overhead.
 //! `alloc_per_event_obs` repeats the allocation differencing with spans
 //! on — recording must stay allocation-free too (the ring drops, never
-//! grows). `--profile PATH` (or `MILLER_PROFILE=PATH`) additionally
-//! exports everything recorded as a Chrome trace-event / Perfetto JSON
-//! timeline.
+//! grows). `--profile PATH` additionally exports everything recorded
+//! as a Chrome trace-event / Perfetto JSON timeline.
 
 use buffer_cache::lru::LruIndex;
 use buffer_cache::{BlockCache, CacheConfig, ReadOutcome, WritePolicy, WriteOutcome};
-use miller_core::figures::{two_venus_report, two_venus_report_in};
+use miller_core::figures::two_venus_report;
 use miller_core::{
-    encode_frames, generate, par_sweep, run_campaign, run_campaign_in, scaled_spec, thread_count,
-    AppKind, BlockDevice, CampaignSpec, DiskModel, DiskParams, FrameFile, IoEvent, Scale,
-    SimDuration, SimReport, SimTime, StoreConfig, TraceStore,
+    encode_frames, generate, par_sweep, run_campaign_in, scaled_spec, AppKind, BlockDevice,
+    CampaignSpec, DiskModel, DiskParams, FrameFile, IoEvent, RunConfig, Scale, SimDuration,
+    SimReport, SimTime, StoreConfig, TraceStore,
 };
 use serde::{Deserialize, Serialize};
 use serve::engine::execute;
@@ -82,6 +84,12 @@ use std::time::Instant;
 use storage_model::AccessKind;
 
 const MB: u64 = 1024 * 1024;
+
+/// Scale divisor of every simulation sweep.
+const SCALE: Scale = Scale(16);
+
+/// Copies of each distinct request in the serving stream.
+const SERVE_DUP: usize = 3;
 
 /// Tolerated events-per-second regression vs the baseline.
 const REGRESSION_TOLERANCE: f64 = 0.30;
@@ -191,7 +199,7 @@ struct ServeBenchSummary {
     /// `warm_rps / cold_rps`; gated at >= 2x.
     speedup: f64,
     /// How many times each distinct request appears in the stream
-    /// (`MILLER_SERVE_DUP`, default 3).
+    /// ([`SERVE_DUP`]).
     duplicate_ratio: usize,
     /// Whether every served response was byte-identical to its one-shot
     /// run at worker counts 1 and 4. Gated: must be true.
@@ -303,7 +311,7 @@ fn fig8_jobs() -> Vec<(u64, u64)> {
     jobs
 }
 
-fn run_benches(scale: Scale, seed: u64) -> Vec<SweepTiming> {
+fn run_benches(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Vec<SweepTiming> {
     let mut sweeps = Vec::new();
 
     // Raw workload generation, bypassing the store: the cost the
@@ -318,31 +326,40 @@ fn run_benches(scale: Scale, seed: u64) -> Vec<SweepTiming> {
         events
     }));
 
-    sweeps.push(timed("fig6_two_venus_32mb", || {
-        let r = two_venus_report(32 * MB, 4096, true, WritePolicy::WriteBehind, scale, seed);
+    // One fig6/fig7/fig8 point against `store` (the run's shared store)
+    // or a private one.
+    let point = |store: &TraceStore, mb: u64, block: u64| {
+        let r = two_venus_report(
+            store,
+            cfg.timeline_ns,
+            mb * MB,
+            block,
+            true,
+            WritePolicy::WriteBehind,
+            scale,
+            seed,
+        );
         ios_issued(&r)
-    }));
+    };
 
-    sweeps.push(timed("fig7_two_venus_128mb", || {
-        let r = two_venus_report(128 * MB, 4096, true, WritePolicy::WriteBehind, scale, seed);
-        ios_issued(&r)
-    }));
+    sweeps.push(timed("fig6_two_venus_32mb", || point(store, 32, 4096)));
+    sweeps.push(timed("fig7_two_venus_128mb", || point(store, 128, 4096)));
 
     // The Figure 8 grid, fanned out over the parallel harness exactly
     // like `fig8()` — reproduced here so per-point I/O counts are
-    // visible for the rate. The global store is warm by now (fig6/fig7
+    // visible for the rate. The shared store is warm by now (fig6/fig7
     // above), so this is the steady-state sweep rate.
     //
     // Run it twice: once with span recording forced off (the canonical
     // hot-path rate, gated at 3 % vs baseline) and once forced on, so
     // the report states the observability layer's overhead directly.
-    let fig8_once = || {
-        let counts = par_sweep(&fig8_jobs(), |&(mb, block)| {
-            let r = two_venus_report(mb * MB, block, true, WritePolicy::WriteBehind, scale, seed);
-            ios_issued(&r)
+    let store_sweep = |store: &TraceStore| -> u64 {
+        let counts = par_sweep(cfg.threads, cfg.progress, &fig8_jobs(), |&(mb, block)| {
+            point(store, mb, block)
         });
         counts.iter().sum()
     };
+    let fig8_once = || store_sweep(store);
     // Interleaved off/on repetitions: on a shared machine the load
     // regime drifts over the seconds a sweep block takes, so measuring
     // all-off then all-on would compare different windows and report
@@ -377,21 +394,6 @@ fn run_benches(scale: Scale, seed: u64) -> Vec<SweepTiming> {
     // rep wins. The old single cold-block-then-warm-block measurement
     // compared two different load windows on a shared machine and could
     // report warm < cold.
-    let store_sweep = |store: &TraceStore| -> u64 {
-        let counts = par_sweep(&fig8_jobs(), |&(mb, block)| {
-            let r = two_venus_report_in(
-                store,
-                mb * MB,
-                block,
-                true,
-                WritePolicy::WriteBehind,
-                scale,
-                seed,
-            );
-            ios_issued(&r)
-        });
-        counts.iter().sum()
-    };
     let mut cold_best: Option<SweepTiming> = None;
     let mut warm_best: Option<SweepTiming> = None;
     for _ in 0..5 {
@@ -408,11 +410,11 @@ fn run_benches(scale: Scale, seed: u64) -> Vec<SweepTiming> {
     sweeps.push(cold_best.expect("five cold repetitions ran"));
     sweeps.push(warm_best.expect("five warm repetitions ran"));
 
-    // The 2026-device rerun (`repro-sim --devices modern`): the same
+    // The 2026-device rerun (`mio sim --devices modern`): the same
     // cache sweep against the tiered NVMe/elevator/tape hierarchy, so
     // the queue-aware device models sit on a gated hot path too.
     sweeps.push(timed("fig8_modern_sweep", || {
-        miller_core::modern::modern_sweep_ios(scale, seed)
+        miller_core::modern::modern_sweep_ios(store, cfg, scale, seed)
     }));
 
     // Cluster scale-out: the 10k-process / 1k-disk datacenter campaign
@@ -423,10 +425,10 @@ fn run_benches(scale: Scale, seed: u64) -> Vec<SweepTiming> {
     let mut spec = CampaignSpec::datacenter(1000, 10);
     spec.scale = Scale(scale.0.saturating_mul(32).max(1));
     spec.shared_file_every = 10; // one shared-file reader per group
+    spec.timeline_ns = cfg.timeline_ns;
     for shards in [1usize, 8] {
-        let spec = spec.clone();
-        sweeps.push(timed(&format!("shard_scale_10k_s{shards}"), move || {
-            run_campaign(&spec, shards).ios_issued
+        sweeps.push(timed(&format!("shard_scale_10k_s{shards}"), || {
+            run_campaign_in(store, &spec, shards).ios_issued
         }));
     }
 
@@ -587,13 +589,13 @@ fn codec_benches(scale: Scale, seed: u64, sweeps: &mut Vec<SweepTiming>) {
 /// The streaming-store memory gate: the 100x100 datacenter campaign
 /// (10k processes) replayed entirely from spilled `stream_v2` frame
 /// files under the [`TRACE_BUDGET`] in-memory budget — the flag-level
-/// equivalent is `repro-sim --campaign 100x100 --trace-mem-budget 64`.
+/// equivalent is `mio sim --campaign 100x100 --trace-mem-budget 64`.
 /// Returns the sweep timing plus the store's peak resident bytes, which
 /// `main` gates at <= the budget: the trace working set must stay
 /// bounded by the live cursors' decoded blocks no matter how many
 /// processes replay. Campaign traces shrink with the bench divisor,
 /// like `shard_scale_10k`.
-fn measure_streamed_campaign(scale: Scale) -> (SweepTiming, u64) {
+fn measure_streamed_campaign(cfg: &RunConfig, scale: Scale) -> (SweepTiming, u64) {
     let dir = std::env::temp_dir().join(format!("miller-bench-traces-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = TraceStore::with_config(StoreConfig {
@@ -602,6 +604,7 @@ fn measure_streamed_campaign(scale: Scale) -> (SweepTiming, u64) {
     });
     let mut spec = CampaignSpec::datacenter(100, 100);
     spec.scale = Scale(scale.0.saturating_mul(32).max(1));
+    spec.timeline_ns = cfg.timeline_ns;
     let timing =
         timed("campaign_streamed_100x100", || run_campaign_in(&store, &spec, 8).ios_issued);
     let peak = store.footprint().peak_bytes as u64;
@@ -684,14 +687,13 @@ fn drive_engine(
 /// dedup/cache), plus the response-identity check at worker counts
 /// {1, 4}. Events are *requests*, so `events_per_sec` is RPS and the
 /// warm/cold rate ratio is the amortization speedup `main` gates at 2x.
-fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBenchSummary) {
+fn measure_serve(
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> (SweepTiming, SweepTiming, ServeBenchSummary) {
     let pool = serve_request_pool(scale, seed);
-    let dup = std::env::var("MILLER_SERVE_DUP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&d| d >= 1)
-        .unwrap_or(3);
-    let stream = shuffled_stream(pool.len(), dup);
+    let stream = shuffled_stream(pool.len(), SERVE_DUP);
     let engine_config = |workers: usize| EngineConfig {
         workers,
         max_inflight: 256,
@@ -727,7 +729,7 @@ fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBen
     // Warm sustained throughput: a fresh engine at the harness thread
     // count, timed end to end — the first requests pay trace generation
     // exactly once, duplicates coalesce or hit the result cache.
-    let engine = Engine::new(engine_config(thread_count()));
+    let engine = Engine::new(engine_config(cfg.threads));
     let warm = timed("serve_sustained_rps", || {
         drive_engine(&engine, &pool, &stream);
         stream.len() as u64
@@ -739,7 +741,7 @@ fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBen
     // request spawns its own store and recomputes — the one-shot world
     // the daemon replaces.
     let cold = timed("serve_cold_spawn_per_request", || {
-        let ones = par_sweep(&stream, |&i| {
+        let ones = par_sweep(cfg.threads, false, &stream, |&i| {
             let store = TraceStore::new();
             std::hint::black_box(execute(&store, &pool[i]));
             1u64
@@ -755,7 +757,7 @@ fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBen
         } else {
             0.0
         },
-        duplicate_ratio: dup,
+        duplicate_ratio: SERVE_DUP,
         responses_identical,
         latency: Some(latency),
     };
@@ -772,7 +774,7 @@ fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBen
 /// track registrations are identical in both runs and cancel, and the
 /// ring's fixed slots never grow (a full ring drops), so this measures
 /// that *recording itself* is allocation-free per event.
-fn measure_alloc_per_event(scale: Scale, seed: u64, with_obs: bool) -> f64 {
+fn measure_alloc_per_event(cfg: &RunConfig, scale: Scale, seed: u64, with_obs: bool) -> f64 {
     let spans_were_on = obs::enabled();
     if with_obs {
         obs::init(1 << 18);
@@ -786,7 +788,16 @@ fn measure_alloc_per_event(scale: Scale, seed: u64, with_obs: bool) -> f64 {
     // reads ~0 rather than hovering near the gate.
     let big_scale = Scale(scale.0.div_ceil(16));
     let point = |s: Scale| {
-        let r = two_venus_report_in(&store, 32 * MB, 4096, true, WritePolicy::WriteBehind, s, seed);
+        let r = two_venus_report(
+            &store,
+            cfg.timeline_ns,
+            32 * MB,
+            4096,
+            true,
+            WritePolicy::WriteBehind,
+            s,
+            seed,
+        );
         ios_issued(&r)
     };
     // Warm both traces into the store (and lazy runtime structures) so
@@ -850,21 +861,23 @@ fn compare_baseline(report: &BenchReport, base: &BenchReport) -> Vec<String> {
 
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().collect();
-    if let Err(msg) = obs::apply_timeline_flags(&mut argv) {
-        eprintln!("repro_bench: {msg}");
+    // The benches fix their own shard counts and devices, and the store
+    // keeps its environment defaults: of the run flags only the thread
+    // count and the observers apply here.
+    const UNUSED: [&str; 5] =
+        ["--shards", "--devices", "--trace-dir", "--trace-mem-budget", "--progress"];
+    if let Some(flag) = argv.iter().find(|a| UNUSED.contains(&a.as_str())) {
+        eprintln!("repro_bench: {flag} is not supported");
         return ExitCode::FAILURE;
     }
-    if let Err(msg) = obs::apply_profile_capacity_flag(&mut argv) {
-        eprintln!("repro_bench: {msg}");
-        return ExitCode::FAILURE;
-    }
-    let profile = match obs::apply_profile_flag(&mut argv) {
-        Ok(p) => p,
+    let cfg = match RunConfig::from_args(&mut argv) {
+        Ok(cfg) => cfg,
         Err(msg) => {
             eprintln!("repro_bench: {msg}");
             return ExitCode::FAILURE;
         }
     };
+    cfg.start_profile();
     let mut baseline = None;
     let mut args = argv.into_iter().skip(1);
     while let Some(a) = args.next() {
@@ -878,7 +891,11 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("repro_bench: unknown argument `{other}`");
-                eprintln!("usage: repro_bench [--baseline BENCH_sim.json] [--profile trace.json]");
+                eprintln!(
+                    "usage: repro_bench [--baseline BENCH_sim.json] [--threads N] \
+                     [--timeline NS] [--timeline-out PATH] [--profile trace.json] \
+                     [--profile-capacity N]"
+                );
                 return ExitCode::FAILURE;
             }
         }
@@ -911,25 +928,19 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let scale = Scale(
-        std::env::var("MILLER_BENCH_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .filter(|&k| k >= 1)
-            .unwrap_or(16),
-    );
-    let seed = 42;
+    let (scale, seed) = (SCALE, 42);
+    let store = TraceStore::with_config(cfg.store.clone());
 
-    let mut sweeps = run_benches(scale, seed);
-    let (streamed_campaign, peak_trace_bytes) = measure_streamed_campaign(scale);
+    let mut sweeps = run_benches(&store, &cfg, scale, seed);
+    let (streamed_campaign, peak_trace_bytes) = measure_streamed_campaign(&cfg, scale);
     sweeps.push(streamed_campaign);
-    let (serve_warm, serve_cold, serve_summary) = measure_serve(scale, seed);
+    let (serve_warm, serve_cold, serve_summary) = measure_serve(&cfg, scale, seed);
     let serve_speedup = serve_summary.speedup;
     let serve_identical = serve_summary.responses_identical;
     sweeps.push(serve_warm);
     sweeps.push(serve_cold);
-    let alloc_per_event = measure_alloc_per_event(scale, seed, false);
-    let alloc_per_event_obs = measure_alloc_per_event(scale, seed, true);
+    let alloc_per_event = measure_alloc_per_event(&cfg, scale, seed, false);
+    let alloc_per_event_obs = measure_alloc_per_event(&cfg, scale, seed, true);
 
     let rate_of = |name: &str| {
         sweeps.iter().find(|s| s.name == name).map(|s| s.events_per_sec).unwrap_or(0.0)
@@ -951,7 +962,7 @@ fn main() -> ExitCode {
         on_overhead_pct: if on_rate > 0.0 { (off_rate / on_rate - 1.0) * 100.0 } else { 0.0 },
     };
     let report = BenchReport {
-        threads: thread_count(),
+        threads: cfg.threads,
         scale: scale.0,
         alloc_per_event: Some(alloc_per_event),
         alloc_per_event_obs: Some(alloc_per_event_obs),
@@ -961,10 +972,13 @@ fn main() -> ExitCode {
         sweeps,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("{json}");
-
     let mut failed = false;
+    if let Err(e) = std::fs::write("BENCH_sim.json", &json) {
+        eprintln!("FAIL: BENCH_sim.json: {e}");
+        failed = true;
+    }
+
     // The allocation gates are absolute: the request path must stay
     // allocation-free regardless of what any baseline recorded, with
     // span recording off *and* on.
@@ -1050,7 +1064,7 @@ fn main() -> ExitCode {
     }
 
     // The serving gates. Identity is absolute — a daemon that answers
-    // different bytes than the one-shot binary is wrong, full stop.
+    // different bytes than the one-shot run is wrong, full stop.
     // Throughput: with a warm trace store plus coalescing/caching of a
     // 3x-duplicated stream, the daemon must clear 2x the cold
     // spawn-per-request baseline, which regenerates traces per request
@@ -1085,10 +1099,7 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
+    cfg.finish_observers();
     if failed {
         return ExitCode::FAILURE;
     }

@@ -28,13 +28,12 @@
 //! assert!(sim.utilization() > 0.2);
 //! ```
 
-pub use batch_queue::{BatchMachine, Job, JobOutcome, QueueDef};
 pub use buffer_cache::{BlockCache, CacheConfig, CacheStats, WritePolicy};
 pub use fs_map::{measure as measure_amplification, translate as translate_to_physical, Amplification, FsConfig, FsLayout};
 pub use experiments::{
-    ablations, app_events, app_trace, claims, extras, figures, modern, nplus1, par_sweep, render,
-    run_campaign, run_campaign_in, scaled_spec, serial_sweep, shard_count, tables, thread_count,
-    CampaignSpec, ModernComparison, Scale, StoreConfig, StoreFootprint, TraceArtifact, TraceStore,
+    ablations, claims, extras, figures, modern, nplus1, par_sweep, render, run_campaign_in,
+    scaled_spec, serial_sweep, tables, CampaignSpec, ModernComparison, RunConfig, Scale,
+    StoreConfig, StoreFootprint, TraceArtifact, TraceStore,
 };
 pub use iosim::{CacheTier, ClusterReport, DeviceSpec, SchedParams, SimConfig, SimReport, Simulation};
 pub use iotrace::{
@@ -116,7 +115,7 @@ impl Study {
     /// Generate the trace.
     pub fn trace(&self) -> Trace {
         let artifact =
-            experiments::app_trace(self.kind, 1, self.seed, experiments::Scale(self.scale));
+            TraceStore::new().artifact(self.kind, 1, self.seed, experiments::Scale(self.scale));
         if !self.through_procstat {
             return artifact.trace();
         }
@@ -225,9 +224,10 @@ impl CampaignBuilder {
     /// the builder's own numbering never does.
     pub fn run(self) -> SimReport {
         let mut sim = Simulation::new(self.config);
+        let store = TraceStore::new();
         let mut pid = 1u32;
         for (i, kind) in self.apps.iter().enumerate() {
-            let events = experiments::app_events(
+            let events = store.events(
                 *kind,
                 pid,
                 self.seed + i as u64,

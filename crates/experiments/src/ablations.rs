@@ -2,10 +2,12 @@
 //! write policy, block size, scheduler quantum, and the paper's admitted
 //! disk-queueing simplification.
 
+use crate::config::RunConfig;
 use crate::figures::two_venus_report;
 use crate::par_sweep::par_sweep;
 use crate::render::{num, pct, TextTable};
-use crate::runner::{app_events, Scale};
+use crate::runner::Scale;
+use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
 use iosim::{SimConfig, Simulation};
 use serde::{Deserialize, Serialize};
@@ -49,10 +51,17 @@ impl AblationSweep {
 }
 
 /// Read-ahead on/off for 2×venus at 128 MB.
-pub fn readahead_ablation(scale: Scale, seed: u64) -> AblationSweep {
+pub fn readahead_ablation(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> AblationSweep {
     let variants = [("read-ahead on", true), ("read-ahead off", false)];
-    let points = par_sweep(&variants, |&(label, read_ahead)| {
+    let points = par_sweep(cfg.threads, cfg.progress, &variants, |&(label, read_ahead)| {
         let r = two_venus_report(
+            store,
+            cfg.timeline_ns,
             128 * MB,
             4096,
             read_ahead,
@@ -66,14 +75,20 @@ pub fn readahead_ablation(scale: Scale, seed: u64) -> AblationSweep {
 }
 
 /// Write policies: through, behind, and Sprite's 30 s delay.
-pub fn write_policy_ablation(scale: Scale, seed: u64) -> AblationSweep {
+pub fn write_policy_ablation(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> AblationSweep {
     let variants = [
         ("write-through", WritePolicy::WriteThrough),
         ("write-behind", WritePolicy::WriteBehind),
         ("sprite 30s delay", WritePolicy::sprite()),
     ];
-    let points = par_sweep(&variants, |(label, policy)| {
-        let r = two_venus_report(128 * MB, 4096, true, *policy, scale, seed);
+    let points = par_sweep(cfg.threads, cfg.progress, &variants, |(label, policy)| {
+        let r =
+            two_venus_report(store, cfg.timeline_ns, 128 * MB, 4096, true, *policy, scale, seed);
         AblationSweep::point(*label, &r)
     });
     AblationSweep { name: "write policy".into(), points }
@@ -81,25 +96,44 @@ pub fn write_policy_ablation(scale: Scale, seed: u64) -> AblationSweep {
 
 /// Block sizes at a fixed 32 MB cache (Figure 8 compares 4 KB and 8 KB;
 /// we add 16 KB).
-pub fn block_size_ablation(scale: Scale, seed: u64) -> AblationSweep {
+pub fn block_size_ablation(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> AblationSweep {
     let sizes = [4096u64, 8192, 16384];
-    let points = par_sweep(&sizes, |&b| {
-        let r = two_venus_report(32 * MB, b, true, WritePolicy::WriteBehind, scale, seed);
+    let points = par_sweep(cfg.threads, cfg.progress, &sizes, |&b| {
+        let r = two_venus_report(
+            store,
+            cfg.timeline_ns,
+            32 * MB,
+            b,
+            true,
+            WritePolicy::WriteBehind,
+            scale,
+            seed,
+        );
         AblationSweep::point(format!("{} KB blocks", b / 1024), &r)
     });
     AblationSweep { name: "cache block size".into(), points }
 }
 
 /// Scheduler quantum sweep for 2×venus at 32 MB.
-pub fn quantum_ablation(scale: Scale, seed: u64) -> AblationSweep {
+pub fn quantum_ablation(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> AblationSweep {
     let quanta = [1u64, 16, 100];
-    let points = par_sweep(&quanta, |&ms| {
-        let mut config = SimConfig::buffered(32 * MB);
+    let points = par_sweep(cfg.threads, cfg.progress, &quanta, |&ms| {
+        let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
         config.sched.quantum = SimDuration::from_millis(ms);
         let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, "venus#1", app_events(AppKind::Venus, 1, seed, scale))
+        sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
             .expect("valid process");
-        sim.add_process_shared(2, "venus#2", app_events(AppKind::Venus, 2, seed + 1, scale))
+        sim.add_process_shared(2, "venus#2", store.events(AppKind::Venus, 2, seed + 1, scale))
             .expect("valid process");
         let r = sim.run();
         AblationSweep::point(format!("quantum {ms} ms"), &r)
@@ -124,15 +158,20 @@ pub struct QueueingAblation {
 }
 
 /// Run the queueing ablation.
-pub fn queueing_ablation(scale: Scale, seed: u64) -> QueueingAblation {
+pub fn queueing_ablation(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> QueueingAblation {
     let variants = [false, true];
-    let mut reports = par_sweep(&variants, |&queueing| {
-        let mut config = SimConfig::buffered(32 * MB);
+    let mut reports = par_sweep(cfg.threads, cfg.progress, &variants, |&queueing| {
+        let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
         config.disk = if queueing { DiskParams::ymp_with_queueing() } else { DiskParams::ymp() };
         let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, "venus#1", app_events(AppKind::Venus, 1, seed, scale))
+        sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
             .expect("valid process");
-        sim.add_process_shared(2, "venus#2", app_events(AppKind::Venus, 2, seed + 1, scale))
+        sim.add_process_shared(2, "venus#2", store.events(AppKind::Venus, 2, seed + 1, scale))
             .expect("valid process");
         sim.run()
     });
@@ -172,13 +211,18 @@ pub struct AblationReport {
 }
 
 /// Run every ablation.
-pub fn all_ablations(scale: Scale, seed: u64) -> AblationReport {
+pub fn all_ablations(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> AblationReport {
     AblationReport {
-        readahead: readahead_ablation(scale, seed),
-        write_policy: write_policy_ablation(scale, seed),
-        block_size: block_size_ablation(scale, seed),
-        quantum: quantum_ablation(scale, seed),
-        queueing: queueing_ablation(scale, seed),
+        readahead: readahead_ablation(store, cfg, scale, seed),
+        write_policy: write_policy_ablation(store, cfg, scale, seed),
+        block_size: block_size_ablation(store, cfg, scale, seed),
+        quantum: quantum_ablation(store, cfg, scale, seed),
+        queueing: queueing_ablation(store, cfg, scale, seed),
     }
 }
 
@@ -217,7 +261,7 @@ mod tests {
 
     #[test]
     fn readahead_helps_venus() {
-        let s = readahead_ablation(QUICK, 21);
+        let s = readahead_ablation(&TraceStore::new(), &RunConfig::default(), QUICK, 21);
         assert!(
             s.points[0].idle_secs < s.points[1].idle_secs,
             "read-ahead on ({}) should beat off ({})",
@@ -228,7 +272,7 @@ mod tests {
 
     #[test]
     fn write_behind_beats_both_alternatives_or_ties_sprite() {
-        let s = write_policy_ablation(QUICK, 21);
+        let s = write_policy_ablation(&TraceStore::new(), &RunConfig::default(), QUICK, 21);
         let through = &s.points[0];
         let behind = &s.points[1];
         assert!(
@@ -241,7 +285,7 @@ mod tests {
 
     #[test]
     fn quantum_sweep_is_stable() {
-        let s = quantum_ablation(QUICK, 21);
+        let s = quantum_ablation(&TraceStore::new(), &RunConfig::default(), QUICK, 21);
         assert_eq!(s.points.len(), 3);
         // The quantum must not change utilization wildly for these
         // I/O-bound workloads.
@@ -252,7 +296,7 @@ mod tests {
 
     #[test]
     fn queueing_does_not_reduce_idle() {
-        let q = queueing_ablation(QUICK, 21);
+        let q = queueing_ablation(&TraceStore::new(), &RunConfig::default(), QUICK, 21);
         assert!(
             q.idle_queueing >= q.idle_no_queueing * 0.95,
             "queueing should not make things faster: {} vs {}",
@@ -263,7 +307,7 @@ mod tests {
 
     #[test]
     fn block_size_sweep_renders() {
-        let s = block_size_ablation(QUICK, 21);
+        let s = block_size_ablation(&TraceStore::new(), &RunConfig::default(), QUICK, 21);
         assert_eq!(s.points.len(), 3);
         let report = AblationReport {
             readahead: s.clone(),

@@ -13,13 +13,13 @@
 //! Group contents repeat on purpose: process `j` of every group replays
 //! the same memoized trace (one generation, `groups` zero-copy
 //! replays), so a 10 000-process campaign costs tens of trace
-//! generations, not thousands. With a budgeted [`TraceStore`]
-//! ([`run_campaign_in`]) the replays stream from spilled frame files
-//! instead, bounding residency to the live cursors' decoded blocks.
+//! generations, not thousands. With a budgeted [`TraceStore`] the
+//! replays stream from spilled frame files instead, bounding residency
+//! to the live cursors' decoded blocks.
 //! The report is a [`iosim::ClusterReport`], byte-identical at any
-//! shard count and in either replay mode — the shard knob (`--shards` /
-//! `MILLER_SHARDS`, see [`crate::shard_count`]) only changes how fast
-//! the answer arrives.
+//! shard count and in either replay mode — the shard knob (`--shards`,
+//! [`crate::RunConfig::shards`]) only changes how fast the answer
+//! arrives.
 
 use crate::runner::Scale;
 use crate::trace_store::TraceStore;
@@ -56,6 +56,10 @@ pub struct CampaignSpec {
     pub scale: Scale,
     /// Base seed for trace generation.
     pub seed: u64,
+    /// Gauge-timeline sample interval for every group, in simulated
+    /// nanoseconds ([`iosim::SimConfig::timeline_ns`]); `None` samples
+    /// nothing. Never changes the report.
+    pub timeline_ns: Option<u64>,
 }
 
 impl CampaignSpec {
@@ -77,6 +81,7 @@ impl CampaignSpec {
             reads_per_shared: 32,
             scale: Scale::quick(16),
             seed: 42,
+            timeline_ns: None,
         }
     }
 
@@ -92,6 +97,7 @@ impl CampaignSpec {
         iosim::SimConfig {
             cache: Some(cache),
             n_disks: self.disks_per_group.max(1),
+            timeline_ns: self.timeline_ns,
             ..Default::default()
         }
     }
@@ -118,17 +124,6 @@ fn shared_reader_events(pid: u32, stream: u32, reads: usize) -> Arc<[IoEvent]> {
         .collect()
 }
 
-/// Build and run the campaign on `shards` worker threads.
-///
-/// Every group gets the identical process roster — process `j` is
-/// either application `ALL_APPS[j % 7]` replaying the memoized trace
-/// for `(kind, j + 1, seed, scale)`, or (every
-/// [`CampaignSpec::shared_file_every`]-th slot) a shared-file reader —
-/// so the result depends only on the spec, never on `shards`.
-pub fn run_campaign(spec: &CampaignSpec, shards: usize) -> ClusterReport {
-    run_campaign_in(TraceStore::global(), spec, shards)
-}
-
 /// What sits in one roster slot, replicated across every group.
 enum Slot {
     /// A synthetic shared-file reader: tiny, always an in-memory slice.
@@ -138,11 +133,18 @@ enum Slot {
     App(AppKind),
 }
 
-/// [`run_campaign`] against an explicit store. With a budgeted store
-/// every application process pulls its trace through a streaming
-/// cursor, so campaign residency is bounded by the live cursors' blocks
-/// (plus the tiny shared-reader slices) rather than the roster size.
-/// The report stays byte-identical to the in-memory run.
+/// Build and run the campaign from `store`'s traces on `shards` worker
+/// threads.
+///
+/// Every group gets the identical process roster — process `j` is
+/// either application `ALL_APPS[j % 7]` replaying the memoized trace
+/// for `(kind, j + 1, seed, scale)`, or (every
+/// [`CampaignSpec::shared_file_every`]-th slot) a shared-file reader —
+/// so the result depends only on the spec, never on `shards`. With a
+/// budgeted store every application process pulls its trace through a
+/// streaming cursor, so campaign residency is bounded by the live
+/// cursors' blocks (plus the tiny shared-reader slices) rather than the
+/// roster size. The report stays byte-identical to the in-memory run.
 pub fn run_campaign_in(store: &TraceStore, spec: &CampaignSpec, shards: usize) -> ClusterReport {
     assert!(spec.groups >= 1 && spec.procs_per_group >= 1, "campaign needs processes");
     let mut cfg = ShardedConfig::new(spec.groups, spec.base_config());
@@ -200,9 +202,12 @@ mod tests {
     #[test]
     fn campaign_report_is_shard_count_invariant() {
         let spec = tiny();
-        let baseline = serde_json::to_string(&run_campaign(&spec, 1)).expect("serialize");
+        let store = TraceStore::new();
+        let baseline =
+            serde_json::to_string(&run_campaign_in(&store, &spec, 1)).expect("serialize");
         for shards in [2, 3, 4, 8, 64] {
-            let alt = serde_json::to_string(&run_campaign(&spec, shards)).expect("serialize");
+            let alt =
+                serde_json::to_string(&run_campaign_in(&store, &spec, shards)).expect("serialize");
             assert_eq!(baseline, alt, "{shards} shards diverged from 1");
         }
     }
@@ -210,7 +215,7 @@ mod tests {
     #[test]
     fn campaign_runs_everything_and_shares_files() {
         let spec = tiny();
-        let report = run_campaign(&spec, 2);
+        let report = run_campaign_in(&TraceStore::new(), &spec, 2);
         assert_eq!(report.n_groups, 4);
         assert_eq!(report.total_processes, 20);
         assert_eq!(report.admissions, 20);
@@ -225,7 +230,7 @@ mod tests {
     fn admission_cap_respected_in_report() {
         let mut spec = tiny();
         spec.max_active = Some(3);
-        let report = run_campaign(&spec, 2);
+        let report = run_campaign_in(&TraceStore::new(), &spec, 2);
         assert_eq!(report.admissions, 20, "everyone eventually runs");
         assert!(report.epochs > 0, "a capped run crosses barriers");
     }

@@ -1,9 +1,12 @@
 //! The paper's §6 headline claims, C1–C5 (DESIGN.md §5), each checked
 //! quantitatively.
 
+use crate::config::RunConfig;
 use crate::figures::two_venus_report;
+use crate::par_sweep::par_sweep;
 use crate::render::{num, pct, TextTable};
-use crate::runner::{app_events, Scale};
+use crate::runner::Scale;
+use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
 use iosim::{SimConfig, Simulation};
 use serde::{Deserialize, Serialize};
@@ -26,11 +29,12 @@ pub struct Claim1 {
 }
 
 /// Check C1.
-pub fn claim1(scale: Scale, seed: u64) -> Claim1 {
-    let with_wb =
-        two_venus_report(128 * MB, 4096, true, WritePolicy::WriteBehind, scale, seed);
-    let without =
-        two_venus_report(128 * MB, 4096, true, WritePolicy::WriteThrough, scale, seed);
+pub fn claim1(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim1 {
+    let run = |policy| {
+        two_venus_report(store, cfg.timeline_ns, 128 * MB, 4096, true, policy, scale, seed)
+    };
+    let with_wb = run(WritePolicy::WriteBehind);
+    let without = run(WritePolicy::WriteThrough);
     let idle_with_wb = with_wb.idle_secs();
     let idle_without_wb = without.idle_secs();
     let factor = if idle_with_wb > 0.0 { idle_without_wb / idle_with_wb } else { f64::INFINITY };
@@ -70,10 +74,11 @@ pub struct Claim2 {
 }
 
 /// Check C2.
-pub fn claim2(scale: Scale, seed: u64) -> Claim2 {
-    let apps = crate::par_sweep::par_sweep(&ALL_APPS, |&kind| {
-        let mut sim = Simulation::new(SimConfig::ssd());
-        sim.add_process_shared(1, kind.name(), app_events(kind, 1, seed, scale))
+pub fn claim2(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim2 {
+    let apps = par_sweep(cfg.threads, cfg.progress, &ALL_APPS, |&kind| {
+        let mut sim =
+            Simulation::new(SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::ssd() });
+        sim.add_process_shared(1, kind.name(), store.events(kind, 1, seed, scale))
             .expect("valid process");
         let r = sim.run();
         SsdUtilization {
@@ -97,9 +102,10 @@ pub struct Claim3 {
 }
 
 /// Check C3.
-pub fn claim3(scale: Scale, seed: u64) -> Claim3 {
-    let mut sim = Simulation::new(SimConfig::buffered(8 * MB));
-    sim.add_process_shared(1, "gcm", app_events(AppKind::Gcm, 1, seed, scale))
+pub fn claim3(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim3 {
+    let mut sim =
+        Simulation::new(SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(8 * MB) });
+    sim.add_process_shared(1, "gcm", store.events(AppKind::Gcm, 1, seed, scale))
         .expect("valid process");
     let r = sim.run();
     Claim3 { gcm_idle_secs: r.idle_secs(), holds: r.idle_secs() < 3.0 }
@@ -119,14 +125,14 @@ pub struct Claim4 {
 }
 
 /// Check C4.
-pub fn claim4(scale: Scale, seed: u64) -> Claim4 {
+pub fn claim4(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim4 {
     let run = |cap: Option<u64>| {
-        let mut config = SimConfig::buffered(32 * MB);
+        let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
         config.cache.as_mut().expect("cache").per_process_cap_blocks = cap;
         let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, "venus#1", app_events(AppKind::Venus, 1, seed, scale))
+        sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
             .expect("valid process");
-        sim.add_process_shared(2, "venus#2", app_events(AppKind::Venus, 2, seed + 1, scale))
+        sim.add_process_shared(2, "venus#2", store.events(AppKind::Venus, 2, seed + 1, scale))
             .expect("valid process");
         sim.run()
     };
@@ -163,15 +169,15 @@ pub struct Claim5 {
 }
 
 /// Check C5.
-pub fn claim5(scale: Scale, seed: u64) -> Claim5 {
+pub fn claim5(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim5 {
     let staging = [AppKind::Venus, AppKind::Les, AppKind::Bvi];
-    let apps = crate::par_sweep::par_sweep(&staging, |&kind| {
-        let mut config = SimConfig::buffered(16 * MB);
+    let apps = par_sweep(cfg.threads, cfg.progress, &staging, |&kind| {
+        let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(16 * MB) };
         // Measure *demand* locality: disable read-ahead so prefetch hits
         // don't masquerade as reuse.
         config.cache.as_mut().expect("cache").read_ahead = false;
         let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, kind.name(), app_events(kind, 1, seed, scale))
+        sim.add_process_shared(1, kind.name(), store.events(kind, 1, seed, scale))
             .expect("valid process");
         let r = sim.run();
         Absorption {
@@ -199,13 +205,13 @@ pub struct ClaimsReport {
 }
 
 /// Run every claim.
-pub fn all_claims(scale: Scale, seed: u64) -> ClaimsReport {
+pub fn all_claims(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> ClaimsReport {
     ClaimsReport {
-        c1: claim1(scale, seed),
-        c2: claim2(scale, seed),
-        c3: claim3(scale, seed),
-        c4: claim4(scale, seed),
-        c5: claim5(scale, seed),
+        c1: claim1(store, cfg, scale, seed),
+        c2: claim2(store, cfg, scale, seed),
+        c3: claim3(store, cfg, scale, seed),
+        c4: claim4(store, cfg, scale, seed),
+        c5: claim5(store, cfg, scale, seed),
     }
 }
 
@@ -262,25 +268,25 @@ mod tests {
 
     #[test]
     fn c1_write_behind_slashes_idle() {
-        let c = claim1(QUICK, 11);
+        let c = claim1(&TraceStore::new(), &RunConfig::default(), QUICK, 11);
         assert!(c.holds, "write-behind factor only {}x ({}s -> {}s)", c.factor, c.idle_without_wb, c.idle_with_wb);
     }
 
     #[test]
     fn c3_gcm_barely_idles_at_8mb() {
-        let c = claim3(QUICK, 11);
+        let c = claim3(&TraceStore::new(), &RunConfig::default(), QUICK, 11);
         assert!(c.holds, "gcm idle {}s", c.gcm_idle_secs);
     }
 
     #[test]
     fn c4_cap_does_not_help() {
-        let c = claim4(QUICK, 11);
+        let c = claim4(&TraceStore::new(), &RunConfig::default(), QUICK, 11);
         assert!(c.holds, "cap helped?! uncapped {} vs capped {}", c.idle_uncapped, c.idle_capped);
     }
 
     #[test]
     fn c5_small_cache_absorbs_little() {
-        let c = claim5(QUICK, 11);
+        let c = claim5(&TraceStore::new(), &RunConfig::default(), QUICK, 11);
         assert!(c.holds, "absorptions: {:?}", c.apps);
     }
 
@@ -288,7 +294,7 @@ mod tests {
     fn render_mentions_every_claim() {
         // A tiny-scale smoke of the full report (c2 runs 7 sims; keep the
         // scale high).
-        let r = all_claims(Scale(16), 11);
+        let r = all_claims(&TraceStore::new(), &RunConfig::default(), Scale(16), 11);
         let text = render_claims(&r);
         for tag in ["C1", "C2", "C3", "C4", "C5"] {
             assert!(text.contains(tag));

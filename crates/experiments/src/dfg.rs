@@ -25,10 +25,10 @@ use workload::AppKind;
 pub type DfgSubject = (AppKind, u32, u64);
 
 /// Build the DFG report for a set of stored frame files, scanning one
-/// file per worker thread. Any unreadable or corrupt file fails the
+/// file per worker thread (at most `threads` at once). Any unreadable or corrupt file fails the
 /// whole analysis (frame checksums make corruption loud).
-pub fn dfg_from_frame_files(paths: &[PathBuf]) -> std::io::Result<DfgReport> {
-    let scans = par_sweep(paths, |p| dfg_of_frame_file(p));
+pub fn dfg_from_frame_files(threads: usize, paths: &[PathBuf]) -> std::io::Result<DfgReport> {
+    let scans = par_sweep(threads, false, paths, |p| dfg_of_frame_file(p));
     let mut processes = Vec::new();
     for (scan, path) in scans.into_iter().zip(paths) {
         processes.extend(scan.map_err(|e| {
@@ -42,10 +42,11 @@ pub fn dfg_from_frame_files(paths: &[PathBuf]) -> std::io::Result<DfgReport> {
 }
 
 /// Export each subject's trace as a frame file and fold its DFGs in
-/// parallel. This is what `repro-sim --dfg-out` runs over the traces
-/// the figure simulations replayed.
+/// parallel on `threads` workers. This is what `mio sim --dfg-out` runs
+/// over the traces the figure simulations replayed.
 pub fn dfg_for_subjects(
     store: &TraceStore,
+    threads: usize,
     subjects: &[DfgSubject],
     scale: Scale,
 ) -> std::io::Result<DfgReport> {
@@ -53,7 +54,7 @@ pub fn dfg_for_subjects(
         .iter()
         .map(|&(kind, pid, seed)| store.export_frame(kind, pid, seed, scale))
         .collect::<std::io::Result<Vec<_>>>()?;
-    dfg_from_frame_files(&paths)
+    dfg_from_frame_files(threads, &paths)
 }
 
 /// The figure runs' subjects: the two venus instances of Figures 6–8.
@@ -90,13 +91,13 @@ mod tests {
             mem_budget: None,
             spill_dir: Some(dir.join("resident")),
         });
-        let a = dfg_for_subjects(&resident, &subjects, Scale(32)).expect("resident-mode dfg");
+        let a = dfg_for_subjects(&resident, 2, &subjects, Scale(32)).expect("resident-mode dfg");
         let streaming = TraceStore::with_config(StoreConfig {
             mem_budget: Some(0),
             spill_dir: Some(dir.join("streaming")),
         });
         drop(streaming.feed(workload::AppKind::Venus, 1, 42, Scale(32))); // pre-spill one
-        let b = dfg_for_subjects(&streaming, &subjects, Scale(32)).expect("streaming-mode dfg");
+        let b = dfg_for_subjects(&streaming, 2, &subjects, Scale(32)).expect("streaming-mode dfg");
         assert_eq!(a, b, "DFGs must not depend on the store's replay mode");
         assert_eq!(a.processes.len(), 2);
         assert!(a.total_events > 0);
@@ -117,7 +118,7 @@ mod tests {
             spill_dir: Some(dir.clone()),
         });
         let report =
-            dfg_for_subjects(&store, &figure_subjects(42), Scale(64)).expect("dfg report");
+            dfg_for_subjects(&store, 2, &figure_subjects(42), Scale(64)).expect("dfg report");
         let json = dir.join("dfg.json");
         let dot = write_dfg_outputs(&report, &json).expect("write outputs");
         let body = std::fs::read_to_string(&json).expect("read json back");

@@ -2,7 +2,8 @@
 //! appendix's compression study and the §1/§5.1 Amdahl balance sheet.
 
 use crate::render::{num, pct, TextTable};
-use crate::runner::{app_trace, Scale};
+use crate::runner::Scale;
+use crate::trace_store::TraceStore;
 use iotrace::{measure_compression, CompressionReport};
 use serde::{Deserialize, Serialize};
 use trace_analysis::{AmdahlReport, AppSummary, YMP_DEFAULT_MIPS};
@@ -18,11 +19,11 @@ pub struct CompressionRow {
 }
 
 /// The appendix compression study over all seven applications.
-pub fn compression_table(scale: Scale, seed: u64) -> Vec<CompressionRow> {
+pub fn compression_table(store: &TraceStore, scale: Scale, seed: u64) -> Vec<CompressionRow> {
     ALL_APPS
         .iter()
         .map(|&kind| {
-            let trace = app_trace(kind, 1, seed, scale).trace();
+            let trace = store.artifact(kind, 1, seed, scale).trace();
             CompressionRow {
                 app: kind.name().to_string(),
                 report: measure_compression(&trace).expect("generated traces encode"),
@@ -66,11 +67,11 @@ pub struct AmdahlRow {
 }
 
 /// The Amdahl balance sheet over all seven applications.
-pub fn amdahl_table(scale: Scale, seed: u64) -> Vec<AmdahlRow> {
+pub fn amdahl_table(store: &TraceStore, scale: Scale, seed: u64) -> Vec<AmdahlRow> {
     ALL_APPS
         .iter()
         .map(|&kind| {
-            let trace = app_trace(kind, 1, seed, scale).trace();
+            let trace = store.artifact(kind, 1, seed, scale).trace();
             let summary = AppSummary::from_trace(&trace);
             AmdahlRow {
                 app: kind.name().to_string(),
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn compression_beats_binary_for_every_app() {
-        for row in compression_table(Scale(8), 3) {
+        for row in compression_table(&TraceStore::new(), Scale(8), 3) {
             assert!(
                 row.report.savings_vs_binary() > 0.3,
                 "{}: only {:.2} saved",
@@ -127,7 +128,7 @@ mod tests {
 
     #[test]
     fn amdahl_separates_staging_from_compulsory_apps() {
-        let rows = amdahl_table(Scale(8), 3);
+        let rows = amdahl_table(&TraceStore::new(), Scale(8), 3);
         let find = |name: &str| {
             rows.iter().find(|r| r.app == name).expect("app present").report
         };
@@ -147,8 +148,8 @@ mod tests {
 
     #[test]
     fn renders_include_every_app() {
-        let c = render_compression(&compression_table(Scale(16), 3));
-        let a = render_amdahl(&amdahl_table(Scale(16), 3));
+        let c = render_compression(&compression_table(&TraceStore::new(), Scale(16), 3));
+        let a = render_amdahl(&amdahl_table(&TraceStore::new(), Scale(16), 3));
         for app in ["bvi", "ccm", "forma", "gcm", "les", "venus", "upw"] {
             assert!(c.contains(app));
             assert!(a.contains(app));

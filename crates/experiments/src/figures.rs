@@ -1,8 +1,9 @@
 //! Figures 3, 4, 6, 7 and 8.
 
+use crate::config::RunConfig;
 use crate::par_sweep::par_sweep;
 use crate::render::ascii_plot;
-use crate::runner::{app_trace, Scale};
+use crate::runner::Scale;
 use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
 use iosim::{SimConfig, SimReport, Simulation};
@@ -29,8 +30,8 @@ pub struct DemandFigure {
     pub plot: String,
 }
 
-fn demand_figure(kind: AppKind, scale: Scale, seed: u64) -> DemandFigure {
-    let trace = app_trace(kind, 1, seed, scale).trace();
+fn demand_figure(store: &TraceStore, kind: AppKind, scale: Scale, seed: u64) -> DemandFigure {
+    let trace = store.artifact(kind, 1, seed, scale).trace();
     let series = cpu_time_series(&trace, SimDuration::from_secs(1), Select::Both);
     let b = Burstiness::of(&series);
     let cycles = detect_cycles(&trace, SimDuration::from_secs(1));
@@ -51,13 +52,13 @@ fn demand_figure(kind: AppKind, scale: Scale, seed: u64) -> DemandFigure {
 }
 
 /// Figure 3: venus data rate over CPU time.
-pub fn fig3(scale: Scale, seed: u64) -> DemandFigure {
-    demand_figure(AppKind::Venus, scale, seed)
+pub fn fig3(store: &TraceStore, scale: Scale, seed: u64) -> DemandFigure {
+    demand_figure(store, AppKind::Venus, scale, seed)
 }
 
 /// Figure 4: les data rate over CPU time.
-pub fn fig4(scale: Scale, seed: u64) -> DemandFigure {
-    demand_figure(AppKind::Les, scale, seed)
+pub fn fig4(store: &TraceStore, scale: Scale, seed: u64) -> DemandFigure {
+    demand_figure(store, AppKind::Les, scale, seed)
 }
 
 /// A two-venus buffering simulation result (Figures 6 and 7).
@@ -84,38 +85,34 @@ pub struct TwoVenusFigure {
 
 /// Run two venus copies against a cache of `cache_mb` megabytes with
 /// read-ahead + write-behind (the Figure 6/7 setup).
-pub fn two_venus(cache_mb: u64, scale: Scale, seed: u64) -> TwoVenusFigure {
-    let report = two_venus_report(cache_mb * MB, 4096, true, WritePolicy::WriteBehind, scale, seed);
+pub fn two_venus(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    cache_mb: u64,
+    scale: Scale,
+    seed: u64,
+) -> TwoVenusFigure {
+    let report = two_venus_report(
+        store,
+        cfg.timeline_ns,
+        cache_mb * MB,
+        4096,
+        true,
+        WritePolicy::WriteBehind,
+        scale,
+        seed,
+    );
     summarize_two_venus(cache_mb, &report)
 }
 
-/// The underlying simulation, exposed for claims and ablations. Traces
-/// come from the process-wide [`TraceStore`], so repeated calls (e.g. a
-/// 14-point cache sweep) replay the same shared slices with zero copies.
-pub fn two_venus_report(
-    cache_bytes: u64,
-    block_size: u64,
-    read_ahead: bool,
-    write_policy: WritePolicy,
-    scale: Scale,
-    seed: u64,
-) -> SimReport {
-    two_venus_report_in(
-        TraceStore::global(),
-        cache_bytes,
-        block_size,
-        read_ahead,
-        write_policy,
-        scale,
-        seed,
-    )
-}
-
-/// [`two_venus_report`] against an explicit store — benches use this to
-/// control cold vs warm memoization.
+/// The underlying simulation, exposed for claims, ablations and the
+/// serving engine. Traces come from `store`, so repeated calls (e.g. a
+/// 14-point cache sweep) replay the same shared slices with zero copies;
+/// `timeline_ns` turns on gauge sampling ([`SimConfig::timeline_ns`]).
 #[allow(clippy::too_many_arguments)]
-pub fn two_venus_report_in(
+pub fn two_venus_report(
     store: &TraceStore,
+    timeline_ns: Option<u64>,
     cache_bytes: u64,
     block_size: u64,
     read_ahead: bool,
@@ -123,7 +120,7 @@ pub fn two_venus_report_in(
     scale: Scale,
     seed: u64,
 ) -> SimReport {
-    let mut config = SimConfig::buffered(cache_bytes);
+    let mut config = SimConfig { timeline_ns, ..SimConfig::buffered(cache_bytes) };
     {
         let c = config.cache.as_mut().expect("buffered config has a cache");
         c.block_size = block_size;
@@ -175,13 +172,13 @@ fn summarize_two_venus(cache_mb: u64, report: &SimReport) -> TwoVenusFigure {
 }
 
 /// Figure 6: 2×venus with a 32 MB cache.
-pub fn fig6(scale: Scale, seed: u64) -> TwoVenusFigure {
-    two_venus(32, scale, seed)
+pub fn fig6(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> TwoVenusFigure {
+    two_venus(store, cfg, 32, scale, seed)
 }
 
 /// Figure 7: 2×venus with a 128 MB cache.
-pub fn fig7(scale: Scale, seed: u64) -> TwoVenusFigure {
-    two_venus(128, scale, seed)
+pub fn fig7(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> TwoVenusFigure {
+    two_venus(store, cfg, 128, scale, seed)
 }
 
 /// One point of the Figure 8 sweep.
@@ -225,16 +222,12 @@ fn fig8_jobs() -> Vec<(u64, u64)> {
 /// Figure 8: idle time of 2×venus vs cache size (4–256 MB), for 4 KB and
 /// 8 KB blocks. Fans the sweep out over [`par_sweep`]; results stay in
 /// grid order regardless of which point finishes first.
-pub fn fig8(scale: Scale, seed: u64) -> Fig8Result {
-    fig8_in(TraceStore::global(), scale, seed)
-}
-
-/// [`fig8`] against an explicit trace store (cold/warm bench control).
-pub fn fig8_in(store: &TraceStore, scale: Scale, seed: u64) -> Fig8Result {
+pub fn fig8(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Fig8Result {
     let jobs = fig8_jobs();
-    let points = par_sweep(&jobs, |&(cache_mb, block)| {
-        let r = two_venus_report_in(
+    let points = par_sweep(cfg.threads, cfg.progress, &jobs, |&(cache_mb, block)| {
+        let r = two_venus_report(
             store,
+            cfg.timeline_ns,
             cache_mb * MB,
             block,
             true,
@@ -252,8 +245,16 @@ pub fn fig8_in(store: &TraceStore, scale: Scale, seed: u64) -> Fig8Result {
     });
     // No-idle baseline: busy time of any run (identical CPU demand).
     let baseline = {
-        let r =
-            two_venus_report_in(store, 256 * MB, 4096, true, WritePolicy::WriteBehind, scale, seed);
+        let r = two_venus_report(
+            store,
+            cfg.timeline_ns,
+            256 * MB,
+            4096,
+            true,
+            WritePolicy::WriteBehind,
+            scale,
+            seed,
+        );
         r.cpu_busy.as_secs_f64()
     };
     Fig8Result { points, no_idle_baseline_secs: baseline }
@@ -292,7 +293,7 @@ mod tests {
 
     #[test]
     fn fig3_venus_rates_have_paper_shape() {
-        let f = fig3(QUICK, 3);
+        let f = fig3(&TraceStore::new(), QUICK, 3);
         // Mean near 44 MB/s (±20% at reduced scale), bursty peaks well
         // above the mean.
         assert!(
@@ -307,7 +308,7 @@ mod tests {
 
     #[test]
     fn fig4_les_rates_have_paper_shape() {
-        let f = fig4(QUICK, 3);
+        let f = fig4(&TraceStore::new(), QUICK, 3);
         assert!(
             (35.0..70.0).contains(&f.mean_mb_per_s),
             "les mean {} MB/s off (paper labels 49.8)",
@@ -318,8 +319,9 @@ mod tests {
 
     #[test]
     fn fig6_vs_fig7_idle_drops_with_cache_size() {
-        let f6 = fig6(QUICK, 5);
-        let f7 = fig7(QUICK, 5);
+        let (store, cfg) = (TraceStore::new(), RunConfig::default());
+        let f6 = fig6(&store, &cfg, QUICK, 5);
+        let f7 = fig7(&store, &cfg, QUICK, 5);
         assert!(
             f7.idle_secs < f6.idle_secs,
             "128 MB idle {} should beat 32 MB idle {}",
@@ -333,7 +335,7 @@ mod tests {
 
     #[test]
     fn fig8_idle_monotonically_improves_with_cache() {
-        let r = fig8(QUICK, 7);
+        let r = fig8(&TraceStore::new(), &RunConfig::default(), QUICK, 7);
         assert_eq!(r.points.len(), 14);
         for block in [4096u64, 8192] {
             let mut last = f64::INFINITY;

@@ -2,9 +2,11 @@
 //! paper, plus the ablations DESIGN.md calls out.
 //!
 //! Each runner returns a serializable result struct and can render itself
-//! as text (ASCII tables and plots). The binaries under `src/bin/` are
-//! thin wrappers; the benches in `crates/bench` call the same entry
-//! points so "regenerating a figure" is always the same code path.
+//! as text (ASCII tables and plots). Every entry point takes the
+//! [`TraceStore`] its traces come from and, where it sweeps or
+//! simulates, the [`RunConfig`] the front end parsed; the `mio`
+//! subcommands and `repro_bench` call the same entry points, so
+//! "regenerating a figure" is always the same code path.
 //!
 //! | entry point | reproduces |
 //! |---|---|
@@ -23,6 +25,7 @@
 pub mod ablations;
 pub mod campaign;
 pub mod claims;
+pub mod config;
 pub mod dfg;
 pub mod extras;
 pub mod figures;
@@ -34,14 +37,11 @@ pub mod runner;
 pub mod tables;
 pub mod trace_store;
 
-pub use campaign::{run_campaign, run_campaign_in, CampaignSpec};
+pub use campaign::{run_campaign_in, CampaignSpec};
+pub use config::RunConfig;
 pub use modern::{modern_comparison, render_modern, DeviceEra, ModernComparison};
-pub use par_sweep::{
-    apply_devices_flag, apply_progress_flag, apply_shards_flag, apply_standard_flags,
-    apply_threads_flag, apply_trace_dir_flag, apply_trace_mem_budget_flag, modern_devices,
-    par_sweep, progress_enabled, serial_sweep, shard_count, thread_count,
-};
-pub use runner::{app_events, app_trace, scaled_spec, Scale};
+pub use par_sweep::{par_sweep, serial_sweep};
+pub use runner::{scaled_spec, Scale};
 pub use trace_store::{
     SpilledCursor, StoreConfig, StoreFootprint, TraceArtifact, TraceStore, SPILL_BLOCK_EVENTS,
 };

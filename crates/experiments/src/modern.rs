@@ -24,7 +24,8 @@
 //! and `cmp`s the JSON, extending the byte-identical contract to the
 //! queue-aware models.
 
-use crate::par_sweep::{par_sweep, shard_count};
+use crate::config::RunConfig;
+use crate::par_sweep::par_sweep;
 use crate::runner::Scale;
 use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
@@ -95,9 +96,16 @@ pub struct ModernComparison {
     pub cluster: ClusterReport,
 }
 
-fn venus_pair_report(era: DeviceEra, cache_mb: u64, scale: Scale, seed: u64) -> SimReport {
-    let store = TraceStore::global();
+fn venus_pair_report(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    era: DeviceEra,
+    cache_mb: u64,
+    scale: Scale,
+    seed: u64,
+) -> SimReport {
     let mut config = era_config(era, cache_mb * MB);
+    config.timeline_ns = cfg.timeline_ns;
     {
         let c = config.cache.as_mut().expect("buffered config has a cache");
         c.block_size = 4096;
@@ -132,8 +140,8 @@ fn staging_trace(pid: u32, n_ios: u64) -> Trace {
 
 /// The embedded sharded run: 4 groups × 3 staging processes on the
 /// modern hierarchy, executed on `shards` worker threads.
-fn modern_cluster(scale: Scale, shards: usize) -> ClusterReport {
-    let mut base = SimConfig::buffered(4 * MB);
+fn modern_cluster(scale: Scale, shards: usize, timeline_ns: Option<u64>) -> ClusterReport {
+    let mut base = SimConfig { timeline_ns, ..SimConfig::buffered(4 * MB) };
     base.devices = Some(DeviceSpec::Tiered(TieredParams::modern_2026()));
     base.cpu_speedup = MODERN_CPU_SPEEDUP;
     base.n_disks = 2;
@@ -152,7 +160,12 @@ fn modern_cluster(scale: Scale, shards: usize) -> ClusterReport {
 
 /// Run the full 1991-vs-2026 comparison: the Figure 8 cache sweep under
 /// both eras plus the embedded modern cluster run.
-pub fn modern_comparison(scale: Scale, seed: u64) -> ModernComparison {
+pub fn modern_comparison(
+    store: &TraceStore,
+    cfg: &RunConfig,
+    scale: Scale,
+    seed: u64,
+) -> ModernComparison {
     let sizes = [4u64, 8, 16, 32, 64, 128, 256];
     let mut jobs = Vec::with_capacity(sizes.len() * 2);
     for era in [DeviceEra::Era1991, DeviceEra::Era2026] {
@@ -160,8 +173,8 @@ pub fn modern_comparison(scale: Scale, seed: u64) -> ModernComparison {
             jobs.push((era, s));
         }
     }
-    let reports = par_sweep(&jobs, |&(era, cache_mb)| {
-        let r = venus_pair_report(era, cache_mb, scale, seed);
+    let reports = par_sweep(cfg.threads, cfg.progress, &jobs, |&(era, cache_mb)| {
+        let r = venus_pair_report(store, cfg, era, cache_mb, scale, seed);
         (era, cache_mb, r)
     });
 
@@ -192,7 +205,7 @@ pub fn modern_comparison(scale: Scale, seed: u64) -> ModernComparison {
         era_1991,
         era_2026,
         modern_obs,
-        cluster: modern_cluster(scale, shard_count()),
+        cluster: modern_cluster(scale, cfg.shards, cfg.timeline_ns),
     }
 }
 
@@ -200,10 +213,11 @@ pub fn modern_comparison(scale: Scale, seed: u64) -> ModernComparison {
 /// `repro_bench` times this as `fig8_modern_sweep`, putting the
 /// queue-aware device models (NVMe queues, elevator, tier residency) on
 /// a gated hot path.
-pub fn modern_sweep_ios(scale: Scale, seed: u64) -> u64 {
+pub fn modern_sweep_ios(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> u64 {
     let sizes = [4u64, 8, 16, 32, 64, 128, 256];
-    let reports =
-        par_sweep(&sizes, |&mb| venus_pair_report(DeviceEra::Era2026, mb, scale, seed));
+    let reports = par_sweep(cfg.threads, cfg.progress, &sizes, |&mb| {
+        venus_pair_report(store, cfg, DeviceEra::Era2026, mb, scale, seed)
+    });
     reports
         .iter()
         .map(|r| r.processes.iter().map(|p| p.ios_issued).sum::<u64>())
@@ -290,7 +304,7 @@ mod tests {
 
     #[test]
     fn comparison_answers_the_claim_question() {
-        let c = modern_comparison(QUICK, 42);
+        let c = modern_comparison(&TraceStore::new(), &RunConfig::default(), QUICK, 42);
         assert_eq!(c.era_1991.len(), 7);
         assert_eq!(c.era_2026.len(), 7);
         // The 1991 run reproduces the paper: near-full utilization at the
@@ -308,7 +322,7 @@ mod tests {
     #[test]
     fn modern_cluster_is_shard_count_invariant() {
         let run = |shards: usize| {
-            serde_json::to_string(&modern_cluster(QUICK, shards)).expect("serialize")
+            serde_json::to_string(&modern_cluster(QUICK, shards, None)).expect("serialize")
         };
         assert_eq!(run(1), run(4), "modern cluster diverged across shard counts");
     }

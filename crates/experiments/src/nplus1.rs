@@ -7,6 +7,7 @@
 //! CPUs starve whenever all jobs block at once; j = n+1 recovers most of
 //! the lost capacity; further jobs add little.
 
+use crate::config::RunConfig;
 use crate::render::{pct, TextTable};
 use crate::runner::Scale;
 use iosim::{SimConfig, Simulation};
@@ -96,7 +97,7 @@ fn typical_job(pid: u32, seed: u64, scale: Scale) -> Trace {
 ///
 /// Job `j`'s trace is the same at every grid point, so the fleet is
 /// generated once up front and every point replays the shared slices.
-pub fn nplus1(cpu_counts: &[usize], scale: Scale, seed: u64) -> NPlusOneResult {
+pub fn nplus1(cfg: &RunConfig, cpu_counts: &[usize], scale: Scale, seed: u64) -> NPlusOneResult {
     let mut grid: Vec<(usize, usize)> = Vec::new();
     for &cpus in cpu_counts {
         for jobs in [cpus, cpus + 1, cpus + 2] {
@@ -110,10 +111,10 @@ pub fn nplus1(cpu_counts: &[usize], scale: Scale, seed: u64) -> NPlusOneResult {
             typical_job(pid, seed + j as u64, scale).events().copied().collect()
         })
         .collect();
-    let points = crate::par_sweep::par_sweep(&grid, |&(cpus, jobs)| {
+    let points = crate::par_sweep::par_sweep(cfg.threads, cfg.progress, &grid, |&(cpus, jobs)| {
         // No cache: every read pays the disk, giving the steady ~85 %
         // duty cycle the rule presumes.
-        let mut config = SimConfig::uncached();
+        let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::uncached() };
         config.n_cpus = cpus;
         // Enough spindles that the disks never serialize the fleet.
         config.n_disks = 16;
@@ -157,7 +158,7 @@ mod tests {
 
     #[test]
     fn n_plus_one_recovers_utilization() {
-        let r = nplus1(&[1, 2], Scale(16), 31);
+        let r = nplus1(&RunConfig::default(), &[1, 2], Scale(16), 31);
         assert_eq!(r.points.len(), 6);
         // The extra job must close most of the utilization gap.
         assert!(r.rule_holds(0.5), "points: {:#?}", r.points);
@@ -175,7 +176,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_points() {
-        let r = nplus1(&[1], Scale(16), 31);
+        let r = nplus1(&RunConfig::default(), &[1], Scale(16), 31);
         let text = render_nplus1(&r);
         assert!(text.contains("n+1 rule"));
         assert_eq!(text.lines().count(), 6); // title + header + rule + 3 rows

@@ -1,10 +1,7 @@
 //! Shared experiment plumbing: trace generation (optionally scaled down
 //! for fast CI runs) and the canonical simulator setups.
 
-use crate::trace_store::{TraceArtifact, TraceStore};
-use iotrace::IoEvent;
 use sim_core::SimDuration;
-use std::sync::Arc;
 use workload::{AppKind, AppSpec};
 
 /// Run-length scaling. `Scale::FULL` reproduces the paper's full run
@@ -49,25 +46,16 @@ pub fn scaled_spec(kind: AppKind, pid: u32, scale: Scale) -> AppSpec {
     spec
 }
 
-/// The (scaled) trace for one application instance, memoized in the
-/// process-wide [`TraceStore`]. Call `.trace()` to materialize the full
-/// comment-bearing `Trace` for analysis consumers; use [`app_events`]
-/// for the zero-copy replay handle.
-pub fn app_trace(kind: AppKind, pid: u32, seed: u64, scale: Scale) -> Arc<TraceArtifact> {
-    TraceStore::global().artifact(kind, pid, seed, scale)
-}
-
-/// The shared replay slice for one application instance, memoized in the
-/// process-wide [`TraceStore`]. Feed it to
-/// `Simulation::add_process_shared` — no per-process copy is made.
-pub fn app_events(kind: AppKind, pid: u32, seed: u64, scale: Scale) -> Arc<[IoEvent]> {
-    TraceStore::global().events(kind, pid, seed, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_store::{TraceArtifact, TraceStore};
+    use std::sync::Arc;
     use trace_analysis::AppSummary;
+
+    fn app_trace(kind: AppKind, pid: u32, seed: u64, scale: Scale) -> Arc<TraceArtifact> {
+        TraceStore::new().artifact(kind, pid, seed, scale)
+    }
 
     #[test]
     fn scaling_preserves_rates() {

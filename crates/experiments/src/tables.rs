@@ -1,7 +1,10 @@
 //! Tables 1 and 2: per-application characteristics, paper vs measured.
 
+use crate::config::RunConfig;
+use crate::par_sweep::par_sweep;
 use crate::render::{num, TextTable};
-use crate::runner::{app_trace, Scale};
+use crate::runner::Scale;
+use crate::trace_store::TraceStore;
 use serde::{Deserialize, Serialize};
 use trace_analysis::AppSummary;
 use workload::{paper_targets, PaperTargets, ALL_APPS};
@@ -41,12 +44,12 @@ pub struct TableResult {
     pub rows: Vec<AppRow>,
 }
 
-fn build(scale: Scale, seed: u64) -> TableResult {
+fn build(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> TableResult {
     // One trace generation + summarization per app, fanned out; row
     // order follows ALL_APPS (the paper's order) regardless of which
     // app finishes first.
-    let rows = crate::par_sweep::par_sweep(&ALL_APPS, |&kind| {
-        let trace = app_trace(kind, 1, seed, scale).trace();
+    let rows = par_sweep(cfg.threads, cfg.progress, &ALL_APPS, |&kind| {
+        let trace = store.artifact(kind, 1, seed, scale).trace();
         AppRow {
             app: kind.name().to_string(),
             paper: paper_targets(kind),
@@ -57,14 +60,14 @@ fn build(scale: Scale, seed: u64) -> TableResult {
 }
 
 /// Reproduce Table 1 (per-app totals).
-pub fn table1(scale: Scale, seed: u64) -> TableResult {
-    build(scale, seed)
+pub fn table1(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> TableResult {
+    build(store, cfg, scale, seed)
 }
 
 /// Reproduce Table 2 (per-direction request and data rates). Shares the
 /// same traces as Table 1.
-pub fn table2(scale: Scale, seed: u64) -> TableResult {
-    build(scale, seed)
+pub fn table2(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> TableResult {
+    build(store, cfg, scale, seed)
 }
 
 /// Render Table 1 in the paper's layout, paper value / measured value.
@@ -115,7 +118,7 @@ mod tests {
 
     #[test]
     fn full_scale_table1_matches_paper_tightly() {
-        let result = table1(Scale::FULL, 42);
+        let result = table1(&TraceStore::new(), &RunConfig::default(), Scale::FULL, 42);
         for row in &result.rows {
             assert!(
                 row.worst_rel_error() < 0.06,
@@ -128,7 +131,7 @@ mod tests {
 
     #[test]
     fn rw_ratios_match_table2() {
-        let result = table2(Scale::FULL, 42);
+        let result = table2(&TraceStore::new(), &RunConfig::default(), Scale::FULL, 42);
         for row in &result.rows {
             let rel = (row.measured.rw_data_ratio - row.paper.rw_data_ratio).abs()
                 / row.paper.rw_data_ratio;
@@ -138,7 +141,7 @@ mod tests {
 
     #[test]
     fn renders_contain_every_app() {
-        let result = table1(Scale::quick(8), 1);
+        let result = table1(&TraceStore::new(), &RunConfig::default(), Scale::quick(8), 1);
         let t1 = render_table1(&result);
         let t2 = render_table2(&result);
         for app in ["bvi", "ccm", "forma", "gcm", "les", "venus", "upw"] {
@@ -149,7 +152,7 @@ mod tests {
 
     #[test]
     fn results_serialize_to_json() {
-        let result = table1(Scale::quick(8), 1);
+        let result = table1(&TraceStore::new(), &RunConfig::default(), Scale::quick(8), 1);
         let json = serde_json::to_string(&result).unwrap();
         assert!(json.contains("venus"));
         let back: TableResult = serde_json::from_str(&json).unwrap();

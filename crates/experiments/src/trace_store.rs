@@ -33,11 +33,11 @@
 //! venus, ~2.8 MB at full scale. [`TraceStore::footprint`] reports the
 //! live count and byte estimate.
 //!
-//! When a memory budget is configured ([`StoreConfig::mem_budget`], or
-//! `MILLER_TRACE_MEM_BUDGET` in MB for the global store), the store
-//! encodes traces into `stream_v2` binary frame files under the spill
-//! directory ([`StoreConfig::spill_dir`] / `MILLER_TRACE_DIR`, or a
-//! per-process directory under the OS temp dir) and the replay path
+//! When a memory budget is configured ([`StoreConfig::mem_budget`],
+//! `--trace-mem-budget`), the store encodes traces into `stream_v2`
+//! binary frame files under the spill directory
+//! ([`StoreConfig::spill_dir`] / `--trace-dir`, or a per-process
+//! directory under the OS temp dir) and the replay path
 //! ([`TraceStore::feed`]) hands out streaming cursors instead of whole
 //! slices: one decoded block (≤ [`SPILL_BLOCK_EVENTS`] events ≈ 96 KB)
 //! is resident per cursor position, shared between cursors sitting in
@@ -166,23 +166,6 @@ pub struct StoreConfig {
     /// under the OS temp dir; `Some(dir)` additionally turns the
     /// directory into a persistent trace cache reused across runs.
     pub spill_dir: Option<PathBuf>,
-}
-
-impl StoreConfig {
-    /// Read the process-wide configuration: `MILLER_TRACE_MEM_BUDGET`
-    /// (in MB) and `MILLER_TRACE_DIR`. Unset or unparsable values mean
-    /// "keep everything resident" / "use the temp dir".
-    pub fn from_env() -> StoreConfig {
-        let mem_budget = std::env::var("MILLER_TRACE_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|mb| mb * 1024 * 1024);
-        let spill_dir = std::env::var("MILLER_TRACE_DIR")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        StoreConfig { mem_budget, spill_dir }
-    }
 }
 
 /// Exact resident-byte accounting, shared by the store, its spilled
@@ -380,10 +363,10 @@ pub struct StoreFootprint {
 ///
 /// `events`/`artifact` generate each `(app, pid, seed, scale)` trace
 /// exactly once — even when many sweep worker threads request it
-/// simultaneously — and hand out cheap `Arc` clones thereafter. All the
-/// sweep entry points in this crate share one process-wide instance via
-/// [`TraceStore::global`] (which reads [`StoreConfig::from_env`]);
-/// benches that need cold/warm control construct their own.
+/// simultaneously — and hand out cheap `Arc` clones thereafter. A front
+/// end builds one store from its [`crate::RunConfig::store`] and passes
+/// it to every entry point it runs; benches that need cold/warm control
+/// construct their own.
 ///
 /// [`TraceStore::feed`] is the replay handle: a shared slice when the
 /// trace is resident, a streaming [`SpilledCursor`] when a memory
@@ -418,13 +401,6 @@ impl TraceStore {
             clock: AtomicU64::new(0),
             spill_note: Once::new(),
         }
-    }
-
-    /// The process-wide shared store used by every sweep entry point,
-    /// configured from `MILLER_TRACE_MEM_BUDGET` / `MILLER_TRACE_DIR`.
-    pub fn global() -> &'static TraceStore {
-        static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
-        GLOBAL.get_or_init(|| TraceStore::with_config(StoreConfig::from_env()))
     }
 
     /// Whether replays from this store stream from disk ([`feed`]

@@ -10,7 +10,9 @@
 
 use buffer_cache::WritePolicy;
 use experiments::figures::two_venus_report;
-use experiments::{ablations, par_sweep, scaled_spec, serial_sweep, Scale, TraceStore};
+use experiments::{
+    ablations, par_sweep, scaled_spec, serial_sweep, RunConfig, Scale, TraceStore,
+};
 use iosim::{SimConfig, SimReport, Simulation};
 use workload::{generate, AppKind};
 
@@ -29,15 +31,32 @@ fn grid() -> Vec<(u64, u64)> {
     jobs
 }
 
-fn run_point(&(mb, block): &(u64, u64)) -> SimReport {
-    two_venus_report(mb * MB, block, true, WritePolicy::WriteBehind, Scale(32), 42)
+/// One grid point replayed from `store`, sampling a gauge timeline on
+/// a `timeline_ns` grid when set.
+fn run_point(
+    store: &TraceStore,
+    timeline_ns: Option<u64>,
+) -> impl Fn(&(u64, u64)) -> SimReport + Sync + '_ {
+    move |&(mb, block)| {
+        two_venus_report(
+            store,
+            timeline_ns,
+            mb * MB,
+            block,
+            true,
+            WritePolicy::WriteBehind,
+            Scale(32),
+            42,
+        )
+    }
 }
 
 #[test]
 fn parallel_sweep_matches_serial_byte_for_byte() {
     let jobs = grid();
-    let serial = serial_sweep(&jobs, run_point);
-    let parallel = par_sweep(&jobs, run_point);
+    let store = TraceStore::new();
+    let serial = serial_sweep(&jobs, run_point(&store, None));
+    let parallel = par_sweep(4, false, &jobs, run_point(&store, None));
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
         let s_json = serde_json::to_string(s).expect("serialize serial report");
@@ -53,8 +72,9 @@ fn parallel_sweep_matches_serial_byte_for_byte() {
 #[test]
 fn parallel_sweep_is_stable_across_repeat_runs() {
     let jobs = grid();
-    let a = par_sweep(&jobs, run_point);
-    let b = par_sweep(&jobs, run_point);
+    let store = TraceStore::new();
+    let a = par_sweep(4, false, &jobs, run_point(&store, None));
+    let b = par_sweep(4, false, &jobs, run_point(&store, None));
     let a_json = serde_json::to_string(&a).expect("serialize");
     let b_json = serde_json::to_string(&b).expect("serialize");
     assert_eq!(a_json, b_json, "repeat parallel sweeps must be byte-identical");
@@ -94,7 +114,7 @@ fn fresh_point(&(mb, block): &(u64, u64)) -> SimReport {
 fn memoized_store_matches_fresh_generation_at_one_thread() {
     let jobs = grid();
     let fresh = serial_sweep(&jobs, fresh_point);
-    let memoized = serial_sweep(&jobs, run_point);
+    let memoized = serial_sweep(&jobs, run_point(&TraceStore::new(), None));
     for (i, (f, m)) in fresh.iter().zip(memoized.iter()).enumerate() {
         let f_json = serde_json::to_string(f).expect("serialize fresh report");
         let m_json = serde_json::to_string(m).expect("serialize memoized report");
@@ -110,22 +130,12 @@ fn memoized_store_matches_fresh_generation_at_one_thread() {
 fn memoized_store_matches_fresh_generation_at_n_threads() {
     let jobs = grid();
     let fresh = serial_sweep(&jobs, fresh_point);
-    // A cold private store exercises concurrent first-request memoization
-    // inside the parallel sweep; the global store then re-checks the
-    // warm path.
-    let cold = TraceStore::new();
-    let memoized_cold = par_sweep(&jobs, |&(mb, block)| {
-        experiments::figures::two_venus_report_in(
-            &cold,
-            mb * MB,
-            block,
-            true,
-            WritePolicy::WriteBehind,
-            Scale(32),
-            42,
-        )
-    });
-    let memoized_warm = par_sweep(&jobs, run_point);
+    // A cold store exercises concurrent first-request memoization inside
+    // the parallel sweep; a second sweep over the same store then
+    // re-checks the warm path.
+    let store = TraceStore::new();
+    let memoized_cold = par_sweep(4, false, &jobs, run_point(&store, None));
+    let memoized_warm = par_sweep(4, false, &jobs, run_point(&store, None));
     let fresh_json = serde_json::to_string(&fresh).expect("serialize");
     assert_eq!(
         fresh_json,
@@ -145,7 +155,8 @@ fn ablations_match_fresh_generation() {
     // slices; rebuild the same three runs with freshly generated traces
     // and compare the serialized sweeps byte-for-byte.
     let (scale, seed) = (Scale(32), 21);
-    let memoized = ablations::quantum_ablation(scale, seed);
+    let memoized =
+        ablations::quantum_ablation(&TraceStore::new(), &RunConfig::default(), scale, seed);
     let quanta = [1u64, 16, 100];
     let fresh_points = serial_sweep(&quanta, |&ms| {
         let mut config = SimConfig::buffered(32 * MB);
@@ -164,4 +175,27 @@ fn ablations_match_fresh_generation() {
         assert_eq!(m.utilization.to_bits(), util.to_bits(), "{}", m.variant);
         assert_eq!(m.wall_secs.to_bits(), wall.to_bits(), "{}", m.variant);
     }
+}
+
+/// A timeline belongs to one run's config, not to the process: a fig8
+/// point sampled on a 1 ms grid and one not sampled at all, run at the
+/// same time on two threads of one process, both serialize exactly like
+/// a plain run.
+#[test]
+fn concurrent_runs_with_and_without_a_timeline_match_a_plain_run() {
+    let store = TraceStore::new();
+    let point = (32, 4096);
+    let json = |timeline_ns| {
+        serde_json::to_string_pretty(&run_point(&store, timeline_ns)(&point))
+            .expect("serialize report")
+    };
+    let plain = json(None);
+    let (sampled, unsampled) = std::thread::scope(|scope| {
+        let sampled = scope.spawn(|| json(Some(1_000_000)));
+        let unsampled = scope.spawn(|| json(None));
+        (sampled.join().expect("sampled run"), unsampled.join().expect("unsampled run"))
+    });
+    assert!(!obs::timeline::drain().is_empty(), "the 1 ms run sampled a timeline");
+    assert_eq!(sampled, plain, "the sampled run's report moved");
+    assert_eq!(unsampled, plain, "the unsampled run's report moved");
 }

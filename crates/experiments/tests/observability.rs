@@ -19,7 +19,7 @@
 //!    simulated-process tracks and the host worker tracks.
 
 use buffer_cache::WritePolicy;
-use experiments::figures::two_venus_report_in;
+use experiments::figures::two_venus_report;
 use experiments::{par_sweep, serial_sweep, Scale, TraceStore};
 use std::path::Path;
 
@@ -30,9 +30,9 @@ const GRID: [(u64, u64); 3] = [(4, 4096), (16, 8192), (32, 4096)];
 
 fn sweep_json(store: &TraceStore, parallel: bool) -> Vec<String> {
     let run = |&(mb, block): &(u64, u64)| {
-        two_venus_report_in(store, mb * MB, block, true, WritePolicy::WriteBehind, Scale(32), 42)
+        two_venus_report(store, None, mb * MB, block, true, WritePolicy::WriteBehind, Scale(32), 42)
     };
-    let reports = if parallel { par_sweep(&GRID, run) } else { serial_sweep(&GRID, run) };
+    let reports = if parallel { par_sweep(4, false, &GRID, run) } else { serial_sweep(&GRID, run) };
     reports
         .iter()
         .map(|r| serde_json::to_string(r).expect("report serializes"))

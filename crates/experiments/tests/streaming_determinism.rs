@@ -11,8 +11,8 @@
 //! walks block boundaries.
 
 use buffer_cache::WritePolicy;
-use experiments::figures::{fig8_in, two_venus_report_in};
-use experiments::{run_campaign_in, CampaignSpec, Scale, StoreConfig, TraceStore};
+use experiments::figures::{fig8, two_venus_report};
+use experiments::{run_campaign_in, CampaignSpec, RunConfig, Scale, StoreConfig, TraceStore};
 
 const MB: u64 = 1024 * 1024;
 
@@ -33,8 +33,9 @@ fn fig6_and_fig7_sweeps_stream_byte_identically() {
     let (streamed, dir) = streaming_store("fig67");
     // The Figure 6 (32 MB) and Figure 7 (128 MB) cache points.
     for mb in [32u64, 128] {
-        let a = two_venus_report_in(
+        let a = two_venus_report(
             &in_memory,
+            None,
             mb * MB,
             4096,
             true,
@@ -42,8 +43,9 @@ fn fig6_and_fig7_sweeps_stream_byte_identically() {
             Scale(32),
             42,
         );
-        let b = two_venus_report_in(
+        let b = two_venus_report(
             &streamed,
+            None,
             mb * MB,
             4096,
             true,
@@ -65,8 +67,9 @@ fn fig6_and_fig7_sweeps_stream_byte_identically() {
 fn fig8_sweep_streams_byte_identically() {
     let in_memory = TraceStore::new();
     let (streamed, dir) = streaming_store("fig8");
-    let a = fig8_in(&in_memory, Scale(16), 42);
-    let b = fig8_in(&streamed, Scale(16), 42);
+    let cfg = RunConfig::default();
+    let a = fig8(&in_memory, &cfg, Scale(16), 42);
+    let b = fig8(&streamed, &cfg, Scale(16), 42);
     assert_eq!(
         serde_json::to_string(&a).expect("serialize"),
         serde_json::to_string(&b).expect("serialize"),

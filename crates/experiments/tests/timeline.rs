@@ -3,18 +3,19 @@
 //! byte-identical to a plain run, and the timeline JSON itself is
 //! byte-identical at any shard count.
 //!
-//! One `#[test]` runs every phase in sequence: the sampler is
-//! configured through the `MILLER_TIMELINE` process environment, so the
-//! phases must not interleave with each other (this integration test
-//! binary runs alone in its own process, making the env mutation safe).
+//! The sample interval is part of each run's config, but finished
+//! timelines land in one process-wide store, so one `#[test]` runs every
+//! phase in sequence and drains the store between them.
 
 use experiments::figures::two_venus_report;
-use experiments::{run_campaign, CampaignSpec, Scale};
+use experiments::{run_campaign_in, CampaignSpec, Scale, TraceStore};
 use serde_json::to_string_pretty;
 
-/// A fig8-style point, serialized exactly like `repro-sim --json`.
-fn fig8_json() -> String {
+/// A fig8-style point, serialized exactly like `mio sim --json`.
+fn fig8_json(store: &TraceStore, timeline_ns: Option<u64>) -> String {
     let r = two_venus_report(
+        store,
+        timeline_ns,
         8 * sim_core::units::MB,
         4096,
         true,
@@ -25,9 +26,9 @@ fn fig8_json() -> String {
     to_string_pretty(&r).expect("serialize report")
 }
 
-fn campaign_json(shards: usize) -> String {
-    let spec = CampaignSpec::datacenter(4, 4);
-    to_string_pretty(&run_campaign(&spec, shards)).expect("serialize report")
+fn campaign_json(store: &TraceStore, shards: usize, timeline_ns: Option<u64>) -> String {
+    let spec = CampaignSpec { timeline_ns, ..CampaignSpec::datacenter(4, 4) };
+    to_string_pretty(&run_campaign_in(store, &spec, shards)).expect("serialize report")
 }
 
 /// Rendered timeline JSON from everything the runs above published.
@@ -37,15 +38,15 @@ fn drain_timeline_json() -> String {
 
 #[test]
 fn timelines_never_perturb_results_and_are_shard_invariant() {
+    let store = TraceStore::new();
+
     // Phase 1: baseline, sampling off.
-    std::env::remove_var("MILLER_TIMELINE");
-    let fig8_plain = fig8_json();
-    let campaign_plain = campaign_json(1);
+    let fig8_plain = fig8_json(&store, None);
+    let campaign_plain = campaign_json(&store, 1, None);
     assert!(obs::timeline::drain().is_empty(), "no timelines published while off");
 
     // Phase 2: sampling on — results must not move by a byte.
-    std::env::set_var("MILLER_TIMELINE", "1000000"); // 1 ms grid
-    let fig8_sampled = fig8_json();
+    let fig8_sampled = fig8_json(&store, Some(1_000_000)); // 1 ms grid
     let fig8_timeline = drain_timeline_json();
     assert_eq!(fig8_plain, fig8_sampled, "fig8 report changed with --timeline on");
     assert!(
@@ -58,15 +59,13 @@ fn timelines_never_perturb_results_and_are_shard_invariant() {
 
     // Phase 3: the sharded engine — report and timeline are both pure
     // functions of the spec, never of the shard count.
-    std::env::set_var("MILLER_TIMELINE", "100000000"); // 100 ms grid
-    let c1 = campaign_json(1);
+    let grid = Some(100_000_000); // 100 ms grid
+    let c1 = campaign_json(&store, 1, grid);
     let t1 = drain_timeline_json();
-    let c4 = campaign_json(4);
+    let c4 = campaign_json(&store, 4, grid);
     let t4 = drain_timeline_json();
     assert_eq!(campaign_plain, c1, "campaign report changed with --timeline on");
     assert_eq!(c1, c4, "campaign report depends on shard count");
     assert_eq!(t1, t4, "merged timeline depends on shard count");
     assert!(t1.contains("\"timelines\":["), "rendered JSON shape");
-
-    std::env::remove_var("MILLER_TIMELINE");
 }

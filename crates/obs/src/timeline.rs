@@ -26,12 +26,12 @@
 //!    summing at aligned grid indices, so the merged timeline is a pure
 //!    function of the simulated cluster.
 //!
-//! Configuration rides the same env handshake as profiling:
-//! `--timeline NS` / `MILLER_TIMELINE` sets the sample interval in
-//! simulated nanoseconds, `--timeline-out PATH` / `MILLER_TIMELINE_OUT`
-//! writes the collected timelines as standalone JSON (see
-//! [`finish_timelines`]). When the span recorder is enabled the same
-//! samples are also emitted as Perfetto counter tracks (`ph:"C"`).
+//! The sample interval is part of the simulator's configuration (the
+//! `timeline_ns` field of `iosim::SimConfig`, set from `--timeline NS`);
+//! `--timeline-out PATH` writes the collected timelines as standalone
+//! JSON (see [`finish_timelines`]). When the span recorder is enabled
+//! the same samples are also emitted as Perfetto counter tracks
+//! (`ph:"C"`).
 
 use crate::recorder::{self, Track};
 use sim_core::TICK_NANOS;
@@ -41,53 +41,6 @@ use std::sync::{Mutex, OnceLock};
 /// this covers 4 s of simulated time per run; longer runs truncate the
 /// tail and count it rather than allocate.
 pub const TIMELINE_CAPACITY: usize = 4096;
-
-/// Consume `--timeline <ns>` and `--timeline-out <path>` from `args`,
-/// exporting them as `MILLER_TIMELINE` / `MILLER_TIMELINE_OUT` so child
-/// processes and lazily-constructed engines agree. Returns an error
-/// message for a malformed flag.
-pub fn apply_timeline_flags(args: &mut Vec<String>) -> Result<(), String> {
-    if let Some(i) = args.iter().position(|a| a == "--timeline") {
-        if i + 1 >= args.len() {
-            return Err("--timeline needs a sample interval in simulated nanoseconds".into());
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        match raw.trim().parse::<u64>() {
-            Ok(ns) if ns >= 1 => std::env::set_var("MILLER_TIMELINE", ns.to_string()),
-            _ => {
-                return Err(format!(
-                    "--timeline needs a positive nanosecond interval, got `{raw}`"
-                ))
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--timeline-out") {
-        if i + 1 >= args.len() {
-            return Err("--timeline-out needs an output path".into());
-        }
-        let p = args.remove(i + 1);
-        args.remove(i);
-        std::env::set_var("MILLER_TIMELINE_OUT", p);
-    }
-    Ok(())
-}
-
-/// The configured sample interval in simulated ticks (from
-/// `MILLER_TIMELINE`, nanoseconds, rounded down to ticks with a 1-tick
-/// floor), or `None` when sampling is off.
-pub fn configured_interval_ticks() -> Option<u64> {
-    let ns = std::env::var("MILLER_TIMELINE").ok()?.trim().parse::<u64>().ok()?;
-    if ns == 0 {
-        return None;
-    }
-    Some((ns / TICK_NANOS).max(1))
-}
-
-/// The configured standalone-JSON output path (`MILLER_TIMELINE_OUT`).
-pub fn configured_output_path() -> Option<String> {
-    std::env::var("MILLER_TIMELINE_OUT").ok().filter(|p| !p.is_empty())
-}
 
 /// Intern a gauge/series name to `&'static str` so the recorder's
 /// fixed-size [`crate::recorder::RawEvent`] can carry it. Deduplicated —
@@ -335,19 +288,18 @@ pub fn render_json(timelines: &[TimelineData]) -> String {
     out
 }
 
-/// When `MILLER_TIMELINE_OUT` is set, drain the published timelines and
-/// write them as standalone JSON, reporting the outcome on stderr.
-/// Export failure is reported, not fatal — a missing timeline must never
-/// fail the run that produced the results. Call once per binary, after
-/// all simulations have finished (next to `finish_profile`).
-pub fn finish_timelines() {
-    let Some(path) = configured_output_path() else { return };
+/// Drain the published timelines and write them to `path` as standalone
+/// JSON, reporting the outcome on stderr. Export failure is reported,
+/// not fatal — a missing timeline must never fail the run that produced
+/// the results. Call once per binary, after all simulations have
+/// finished (next to `finish_profile`).
+pub fn finish_timelines(path: &str) {
     let timelines = drain();
     let samples: usize = timelines.iter().map(|t| t.ticks.len()).sum();
     let series: usize = timelines.iter().map(|t| t.series.len()).sum();
     let truncated: u64 = timelines.iter().map(|t| t.truncated).sum();
     let json = render_json(&timelines);
-    match std::fs::write(&path, json) {
+    match std::fs::write(path, json) {
         Ok(()) => {
             let cut = if truncated > 0 {
                 format!(" ({truncated} samples past capacity dropped)")

@@ -232,12 +232,15 @@ mod tests {
         flush.flush_batch = !flush.flush_batch;
         let mut block = base.clone();
         block.cache.as_mut().expect("buffered").block_size *= 2;
+        let mut timeline = base.clone();
+        timeline.timeline_ns = Some(1_000_000);
         for (what, changed) in [
             ("n_disks", &n_disks),
             ("n_cpus", &cpus),
             ("cpu_speedup", &speedup),
             ("flush_batch", &flush),
             ("cache.block_size", &block),
+            ("timeline_ns", &timeline),
         ] {
             assert_ne!(h0, canonical_hash(changed), "{what} change must re-key");
         }
@@ -265,6 +268,10 @@ mod tests {
             ("reads_per_shared", { let mut s = base.clone(); s.reads_per_shared += 1; s }),
             ("scale", { let mut s = base.clone(); s.scale = experiments::Scale::quick(8); s }),
             ("seed", { let mut s = base.clone(); s.seed += 1; s }),
+            // The sampling interval keys too: it never changes the report,
+            // but a cached unsampled result cannot answer a run that asked
+            // for a timeline. Served requests never carry it.
+            ("timeline_ns", { let mut s = base.clone(); s.timeline_ns = Some(1_000_000); s }),
         ];
         for (what, changed) in &variants {
             assert_ne!(h0, canonical_hash(changed), "{what} change must re-key");

@@ -5,10 +5,10 @@
 //!
 //! ## Why requests get cheap
 //!
-//! A one-shot `repro-sim` run pays trace generation every time it
-//! starts. The engine keeps one process-wide [`TraceStore`] alive across
-//! requests (honoring `MILLER_TRACE_DIR` / `MILLER_TRACE_MEM_BUDGET`
-//! like every repro binary), so the first request for a workload
+//! A one-shot `mio sim` run pays trace generation every time it
+//! starts. The engine keeps one [`TraceStore`] alive across requests
+//! (configured by [`EngineConfig::store`], which `mio serve` fills from
+//! `--trace-dir` / `--trace-mem-budget`), so the first request for a workload
 //! generates its traces and every later request replays them zero-copy.
 //! On top of that:
 //!
@@ -45,7 +45,7 @@ use crate::canon::canonical_hash;
 use crate::protocol::RequestBody;
 use buffer_cache::lru::LruIndex;
 use buffer_cache::WritePolicy;
-use experiments::figures::two_venus_report_in;
+use experiments::figures::two_venus_report;
 use experiments::{run_campaign_in, CampaignSpec, Scale, StoreConfig, TraceStore};
 use serde::{Serialize, Value};
 use sim_core::units::MB;
@@ -74,7 +74,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            workers: experiments::thread_count(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             max_inflight: 256,
             result_cache: 512,
             store: StoreConfig::default(),
@@ -713,13 +713,14 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
 }
 
 /// Run one request body to its report, serialized to the data model.
-/// This is the same code path the one-shot binaries use, against the
-/// engine's warm store — which is exactly why responses are
-/// byte-identical to one-shot runs.
+/// This is the same code path `mio sim` uses, against the engine's warm
+/// store — which is exactly why responses are byte-identical to
+/// one-shot runs. Served runs never sample a gauge timeline.
 pub fn execute(store: &TraceStore, body: &RequestBody) -> Value {
     match body {
-        RequestBody::Fig8Point(s) => two_venus_report_in(
+        RequestBody::Fig8Point(s) => two_venus_report(
             store,
+            None,
             s.cache_mb * MB,
             s.block,
             true,

@@ -22,9 +22,9 @@
 //!
 //! The contract that makes the service trustworthy is determinism: a
 //! served response is byte-identical to the corresponding one-shot
-//! `repro-sim` run at any worker count, whether computed, coalesced, or
-//! cached. CI holds this with a live socket `cmp` against the one-shot
-//! binaries; the proptest suite holds it for shuffled concurrent
+//! `mio sim` run at any worker count, whether computed, coalesced, or
+//! cached. CI holds this with a live socket `cmp` against one-shot
+//! `mio sim` runs; the proptest suite holds it for shuffled concurrent
 //! request streams.
 //!
 //! [`TraceStore`]: experiments::TraceStore

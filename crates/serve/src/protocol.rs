@@ -10,7 +10,7 @@
 //!
 //! Determinism contract: the `result` payload of a `done` line is
 //! byte-identical (once pretty-printed) to the JSON the one-shot
-//! `repro-sim` binary writes for the same point, at any worker count —
+//! `mio sim` writes for the same point, at any worker count —
 //! whether it was computed, coalesced onto a concurrent duplicate, or
 //! served from the result cache.
 
@@ -21,11 +21,11 @@ use serde::{Deserialize, Serialize, Value};
 pub enum RequestBody {
     /// One Figure 6/7/8 sweep point: two venus copies against a
     /// read-ahead + write-behind cache. Equivalent to
-    /// `repro-sim --fig8-point MB:BLOCK`; `fig6`/`fig7` are the 32 MB
+    /// `mio sim --fig8-point MB:BLOCK`; `fig6`/`fig7` are the 32 MB
     /// and 128 MB points of the same family.
     Fig8Point(Fig8PointSpec),
     /// A sharded datacenter campaign, equivalent to
-    /// `repro-sim --campaign GROUPSxPROCS --shards N`.
+    /// `mio sim --campaign GROUPSxPROCS --shards N`.
     Campaign(CampaignPointSpec),
     /// Obs counters and engine statistics as deterministic JSON.
     Stats,
@@ -54,7 +54,7 @@ pub struct Fig8PointSpec {
 
 /// Parameters of one sharded campaign point. Defaults mirror
 /// `CampaignSpec::datacenter`, so a `{groups, procs, shards}` request
-/// reproduces `repro-sim --campaign` exactly.
+/// reproduces `mio sim --campaign` exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignPointSpec {
     /// Node groups.
@@ -63,14 +63,14 @@ pub struct CampaignPointSpec {
     pub procs: usize,
     /// Engine shard (worker thread) count for this campaign.
     pub shards: usize,
-    /// Trace scale divisor; `repro-sim --campaign` uses 16.
+    /// Trace scale divisor; `mio sim --campaign` uses 16.
     pub scale: u32,
-    /// Base trace seed; `repro-sim --campaign` uses 42.
+    /// Base trace seed; `mio sim --campaign` uses 42.
     pub seed: u64,
 }
 
 impl CampaignPointSpec {
-    /// The spec matching `repro-sim --campaign GROUPSxPROCS --shards N`.
+    /// The spec matching `mio sim --campaign GROUPSxPROCS --shards N`.
     pub fn datacenter(groups: usize, procs: usize, shards: usize) -> CampaignPointSpec {
         CampaignPointSpec { groups, procs, shards, scale: 16, seed: 42 }
     }

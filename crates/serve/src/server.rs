@@ -387,9 +387,9 @@ fn log_completion(id: u64, client: &str, ticket: &Ticket, total: Duration, outco
 }
 
 /// `mio submit`: send one request, return its terminal response. Waits
-/// through `progress` heartbeats (echoed to stderr when `--progress` is
-/// on) and ignores responses for other ids.
-pub fn submit_once(endpoint: &Endpoint, req: &Request) -> Result<Response, String> {
+/// through `progress` heartbeats (echoed to stderr when `progress` is
+/// set) and ignores responses for other ids.
+pub fn submit_once(endpoint: &Endpoint, req: &Request, progress: bool) -> Result<Response, String> {
     let (reader, mut writer): (Box<dyn Read>, Box<dyn Write>) = match endpoint {
         Endpoint::Unix(path) => {
             #[cfg(unix)]
@@ -437,7 +437,7 @@ pub fn submit_once(endpoint: &Endpoint, req: &Request) -> Result<Response, Strin
             "progress" => {
                 // Same shape as the sweep heartbeat:
                 // `[sweep] 3/9 points | 1.24M ev/s | ETA 4s`.
-                if experiments::progress_enabled() {
+                if progress {
                     let rate = resp.rate.unwrap_or(0.0);
                     let eta = match resp.eta_secs {
                         Some(s) => format!("{s}s"),
@@ -498,7 +498,8 @@ mod tests {
         });
         let mut resp = None;
         for _ in 0..200 {
-            match submit_once(&endpoint, &Request { id: 1, client: None, body: body.clone() }) {
+            let req = Request { id: 1, client: None, body: body.clone() };
+            match submit_once(&endpoint, &req, false) {
                 Ok(r) => {
                     resp = Some(r);
                     break;
@@ -511,7 +512,7 @@ mod tests {
         assert_eq!(resp.cached, Some(false));
         let report = resp.result.expect("report payload");
         // Same point again: served from the result cache, byte-identical.
-        let again = submit_once(&endpoint, &Request { id: 2, client: None, body: body.clone() })
+        let again = submit_once(&endpoint, &Request { id: 2, client: None, body }, false)
             .expect("second request");
         assert_eq!(again.cached, Some(true));
         assert_eq!(
@@ -520,14 +521,14 @@ mod tests {
         );
 
         // Stats request reports the hit.
-        let stats = submit_once(&endpoint, &Request { id: 3, client: None, body: RequestBody::Stats })
-            .expect("stats");
+        let stats = Request { id: 3, client: None, body: RequestBody::Stats };
+        let stats = submit_once(&endpoint, &stats, false).expect("stats");
         let stats = stats.result.expect("stats payload");
         assert_eq!(stats.get("cache_hits"), Some(&Value::U64(1)));
 
         // Graceful shutdown over the wire.
-        let bye = submit_once(&endpoint, &Request { id: 4, client: None, body: RequestBody::Shutdown })
-            .expect("shutdown ack");
+        let bye = Request { id: 4, client: None, body: RequestBody::Shutdown };
+        let bye = submit_once(&endpoint, &bye, false).expect("shutdown ack");
         assert_eq!(bye.event, "done");
         server.join().expect("server thread").expect("clean exit");
     }

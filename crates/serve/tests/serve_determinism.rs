@@ -28,7 +28,7 @@ fn request_pool() -> Vec<RequestBody> {
 }
 
 /// The ground truth: each body run one-shot (fresh store, no serving
-/// machinery), pretty-printed exactly like `repro-sim --json` output.
+/// machinery), pretty-printed exactly like `mio sim --json` output.
 fn sequential_baseline(pool: &[RequestBody]) -> Vec<String> {
     pool.iter()
         .map(|body| {

@@ -130,6 +130,10 @@ pub struct SimConfig {
     pub flush_batch: u64,
     /// Wall-clock bin width for the traffic series (Figures 6–7 use 1 s).
     pub series_bin: SimDuration,
+    /// Gauge-timeline sample interval in simulated nanoseconds; `None`
+    /// (the default) samples nothing. A pure observer: the report is
+    /// byte-identical with or without it.
+    pub timeline_ns: Option<u64>,
 }
 
 impl Default for SimConfig {
@@ -145,6 +149,7 @@ impl Default for SimConfig {
             n_disks: 8,
             flush_batch: 4 * sim_core::units::MB,
             series_bin: SimDuration::from_secs(1),
+            timeline_ns: None,
         }
     }
 }

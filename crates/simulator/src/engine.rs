@@ -209,7 +209,7 @@ pub struct Simulation {
     outbox: Vec<Stamped>,
     msg_seq: u64,
     // Temporal telemetry: a deterministic periodic gauge sampler, enabled
-    // by `--timeline`/`MILLER_TIMELINE`. Samples are taken between event
+    // by `SimConfig::timeline_ns`. Samples are taken between event
     // pops (state is constant there), never through the event queue —
     // wheel stats are part of the report, so a timer event would perturb
     // results. Boxed: ~all runs leave it `None`.
@@ -793,8 +793,9 @@ impl Simulation {
             gauge_track =
                 Some(obs::register_track(obs::Domain::Sim, format!("sim{sim_id}:gauges")));
         }
-        if let Some(interval) = obs::timeline::configured_interval_ticks() {
-            let mut tl = Box::new(obs::timeline::Timeline::new(interval));
+        if let Some(ns) = self.config.timeline_ns {
+            // Rounded down to ticks, with a 1-tick floor.
+            let mut tl = Box::new(obs::timeline::Timeline::new(ns / sim_core::TICK_NANOS));
             // Fixed series order; `sample_timeline` fills `scratch` by
             // the same indices.
             tl.add_series("cache_resident_blocks");

@@ -73,8 +73,8 @@ fn mixed_traces(n: u64) -> (Trace, Trace) {
     (reader, writer)
 }
 
-fn run(reader: &Trace, writer: &Trace) {
-    let mut sim = Simulation::new(SimConfig::buffered(8 * MB));
+fn run(reader: &Trace, writer: &Trace, timeline_ns: Option<u64>) {
+    let mut sim = Simulation::new(SimConfig { timeline_ns, ..SimConfig::buffered(8 * MB) });
     sim.add_process(1, "reader", reader).expect("valid process");
     sim.add_process(2, "writer", writer).expect("valid process");
     let report = sim.run();
@@ -92,12 +92,12 @@ fn steady_state_request_path_allocates_nothing() {
 
     // Warm-up run: fault in lazy runtime structures (thread-local
     // buffers, stdio) so they don't skew the small run.
-    run(&small_r, &small_w);
+    run(&small_r, &small_w, None);
 
     let a0 = allocs();
-    run(&small_r, &small_w);
+    run(&small_r, &small_w, None);
     let a1 = allocs();
-    run(&big_r, &big_w);
+    run(&big_r, &big_w, None);
     let a2 = allocs();
 
     let small_allocs = a1 - a0;
@@ -120,12 +120,12 @@ fn steady_state_request_path_allocates_nothing() {
     // must also be allocation-free per event.
     obs::init(1 << 16);
     obs::set_enabled(true);
-    run(&small_r, &small_w);
+    run(&small_r, &small_w, None);
 
     let b0 = allocs();
-    run(&small_r, &small_w);
+    run(&small_r, &small_w, None);
     let b1 = allocs();
-    run(&big_r, &big_w);
+    run(&big_r, &big_w, None);
     let b2 = allocs();
     obs::set_enabled(false);
 
@@ -146,15 +146,14 @@ fn steady_state_request_path_allocates_nothing() {
     // per-event allocations. Setup costs (the per-run series vectors,
     // interned disk names, the published TimelineData) are identical in
     // the small and big runs and cancel in the differencing.
-    std::env::set_var("MILLER_TIMELINE", "1000000");
-    run(&small_r, &small_w);
+    let grid = Some(1_000_000);
+    run(&small_r, &small_w, grid);
 
     let c0 = allocs();
-    run(&small_r, &small_w);
+    run(&small_r, &small_w, grid);
     let c1 = allocs();
-    run(&big_r, &big_w);
+    run(&big_r, &big_w, grid);
     let c2 = allocs();
-    std::env::remove_var("MILLER_TIMELINE");
     assert!(!obs::timeline::drain().is_empty(), "sampling actually ran");
 
     let extra_allocs_tl = (c2 - c1).saturating_sub(c1 - c0);

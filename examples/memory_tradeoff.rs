@@ -18,11 +18,11 @@
 
 use miller_core::render::{num, pct, TextTable};
 use miller_core::{
-    generate, AmdahlReport, AppSpec, AppSummary, BatchMachine, CampaignBuilder, CycleDef,
-    FileDef, Job, SweepOrder, Synchrony, YMP_DEFAULT_MIPS,
+    generate, AmdahlReport, AppSpec, AppSummary, CampaignBuilder, CycleDef, FileDef, SweepOrder,
+    Synchrony, YMP_DEFAULT_MIPS,
 };
-use sim_core::units::{MB, MEGAWORD_BYTES};
-use sim_core::{SimDuration, SimTime};
+use sim_core::units::MB;
+use sim_core::SimDuration;
 use workload::LatencyModel;
 
 /// One computation, parameterized by how much of its 192 MB problem
@@ -89,64 +89,5 @@ fn main() {
          which is exactly why the paper's SSD result matters.\n",
         YMP_DEFAULT_MIPS / 8.0,
         YMP_DEFAULT_MIPS
-    );
-
-    // --- And now the queue game itself (§2.2) -------------------------
-    // Submit each variant to a UNICOS-style batch machine that already
-    // has a backlog of big jobs. The small-memory variant skips the
-    // backlog entirely; the big variant waits behind it. run_time comes
-    // from the simulated solo wall time of each variant.
-    let machine = BatchMachine::ymp_default();
-    let mut jobs: Vec<Job> = Vec::new();
-    // Backlog: three 60 MW jobs monopolizing the large queue, two 30 MW
-    // jobs in the medium queue.
-    for i in 0..3 {
-        jobs.push(Job {
-            name: format!("backlog-large-{i}"),
-            memory: 60 * MEGAWORD_BYTES,
-            run_time: SimDuration::from_secs(400),
-            submitted: SimTime::ZERO,
-        });
-    }
-    for i in 0..2 {
-        jobs.push(Job {
-            name: format!("backlog-medium-{i}"),
-            memory: 30 * MEGAWORD_BYTES,
-            run_time: SimDuration::from_secs(400),
-            submitted: SimTime::ZERO,
-        });
-    }
-    for (name, mem) in [("gcm-like", 192u64), ("ccm-like", 128), ("venus-like", 16)] {
-        let spec = climate_model(name, mem);
-        let trace = generate(&spec, 7);
-        let sim = CampaignBuilder::buffered_mb(32).trace(name, trace).run();
-        // Program memory = its in-memory array (in MW; 1 MW = 8 MB).
-        jobs.push(Job {
-            name: name.to_string(),
-            memory: (mem * MB).div_ceil(MEGAWORD_BYTES).max(1) * MEGAWORD_BYTES,
-            run_time: SimDuration::from_secs_f64(sim.wall_secs()),
-            submitted: SimTime::from_secs(10),
-        });
-    }
-    let outcomes = machine.run(&jobs).expect("all jobs fit some queue");
-    println!("Batch turnaround with a loaded machine (backlog of big jobs):");
-    let mut t2 = TextTable::new(&["job", "queue", "queued (s)", "ran (s)", "turnaround (s)"]);
-    for name in ["gcm-like", "ccm-like", "venus-like"] {
-        let o = outcomes.iter().find(|o| o.name == name).expect("job completed");
-        t2.row(vec![
-            o.name.clone(),
-            o.queue.clone(),
-            num(o.queued.as_secs_f64()),
-            num(o.finished.saturating_since(o.started).as_secs_f64()),
-            num(o.turnaround.as_secs_f64()),
-        ]);
-    }
-    println!("{}", t2.render());
-    println!(
-        "venus's author traded run time for queue time: the tiny-memory\n\
-         variant runs longest but starts immediately, while the in-memory\n\
-         variant waits behind the large-queue backlog — \"turnaround time\n\
-         is shortest for the application which requires the least main\n\
-         memory\" (§2.2)."
     );
 }

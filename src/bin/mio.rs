@@ -7,6 +7,8 @@
 //! mio translate venus.trace [-o phys.trace]  logical -> physical expansion
 //! mio simulate a.trace b.trace [--cache 128|ssd|none]
 //!              [--policy behind|through|sprite] [--no-readahead] [--cpus 1]
+//! mio tables|figures|sim|claims|ablations [--quick] [--json out.json]
+//!                                            reproduce the paper's exhibits
 //! mio serve --socket mio.sock [--workers N] ...    simulation-as-a-service
 //! mio submit --socket mio.sock --fig8-point 32:4096 [--json out.json]
 //! mio stats --socket mio.sock [--prom]             daemon metrics
@@ -14,19 +16,37 @@
 //!
 //! Traces are the paper's compressed ASCII format; `-` means stdout.
 //!
+//! The five reproduction subcommands (`tables`, `figures`, `sim`,
+//! `claims`, `ablations`) parse one [`RunConfig`] (threads, shards,
+//! trace store, device era, progress, timeline and profile outputs),
+//! build one [`TraceStore`] from it, and end on one finish path:
+//! `--json` write, profile export, timeline export. Any error exits 2.
+//!
 //! `serve` turns the one-shot repro workloads into a long-running
 //! daemon (JSON lines over a Unix or TCP socket) with a warm trace
 //! store, request dedup/coalescing, and fair queueing; `submit` is the
 //! matching client. A served response is byte-identical to the
-//! corresponding one-shot `repro-sim --json` output at any worker
+//! corresponding one-shot `mio sim --json` output at any worker
 //! count — CI `cmp`s them.
 
+use experiments::ablations::{all_ablations, render_ablations};
+use experiments::claims::{all_claims, render_claims};
+use experiments::config::{take_flag, take_switch};
+use experiments::extras::{amdahl_table, compression_table, render_amdahl, render_compression};
+use experiments::figures::{fig3, fig4, fig6, fig7, fig8, render_fig8, two_venus_report};
+use experiments::nplus1::{nplus1, render_nplus1};
+use experiments::tables::{render_table1, render_table2, table1};
+use experiments::{
+    modern_comparison, par_sweep, render_modern, run_campaign_in, CampaignSpec, DeviceEra,
+    RunConfig,
+};
 use miller_core::{
     analyze_sequentiality, classify_trace, detect_cycles, measure_amplification,
     measure_compression, paper_targets, read_trace, translate_to_physical, write_trace, AppKind,
-    AppSummary, CacheConfig, CacheTier, FsConfig, FsLayout, IoClass, SimConfig, Simulation,
-    Trace, WritePolicy, ALL_APPS,
+    AppSummary, CacheConfig, CacheTier, FsConfig, FsLayout, IoClass, Scale, SimConfig, Simulation,
+    Trace, TraceStore, WritePolicy, ALL_APPS,
 };
+use serde::Serialize;
 use sim_core::units::MB;
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -38,7 +58,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("mio: {msg}");
             eprintln!("run `mio help` for usage");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }
@@ -54,6 +74,11 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("translate") => cmd_translate(&args[1..]),
         Some("simulate") => cmd_simulate(&args[1..]),
+        Some("tables") => cmd_tables(&args[1..]),
+        Some("figures") => cmd_figures(&args[1..]),
+        Some("sim") => cmd_sim(&args[1..]),
+        Some("claims") => cmd_claims(&args[1..]),
+        Some("ablations") => cmd_ablations(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
@@ -71,6 +96,12 @@ USAGE:
   mio translate <FILE> [-o FILE]
   mio simulate <FILE>... [--cache MB|ssd|none] [--policy behind|through|sprite]
                [--no-readahead] [--cpus N]
+  mio tables     [--quick] [--json FILE] [RUN OPTIONS]   Tables 1-2, compression, Amdahl
+  mio figures    [--quick] [--json FILE] [RUN OPTIONS]   Figures 3-4
+  mio sim        [--quick] [--json FILE] [RUN OPTIONS]   Figures 6-8 and the n+1 rule
+                 [--fig8-point MB:BLOCK | --campaign GxP | --dfg-out FILE]
+  mio claims     [--quick] [--json FILE] [RUN OPTIONS]   the section 6 claims C1-C5
+  mio ablations  [--quick] [--json FILE] [RUN OPTIONS]   design-choice ablations
   mio serve  (--socket PATH | --tcp ADDR) [--workers N] [--max-inflight N]
              [--cache-cap N] [--drain-timeout SECS] [--threads N] [--shards N]
              [--trace-dir DIR] [--trace-mem-budget MB] [--profile PATH] [--progress]
@@ -79,31 +110,20 @@ USAGE:
               | --stats | --shutdown)
              [--scale K] [--seed N] [--client NAME] [--json FILE]
   mio stats  (--socket PATH | --tcp ADDR) [--prom]
+
+RUN OPTIONS (each flag's environment default in parentheses):
+  --threads N             sweep threads (MILLER_THREADS, RAYON_NUM_THREADS; all cores)
+  --shards N              sharded-engine threads (MILLER_SHARDS; 1)
+  --trace-dir DIR         trace spill and cache directory (MILLER_TRACE_DIR)
+  --trace-mem-budget MB   resident trace budget (MILLER_TRACE_MEM_BUDGET; unbounded)
+  --devices ERA           paper, 1991 or modern (MILLER_DEVICES; paper)
+  --progress              sweep heartbeat on stderr (MILLER_PROGRESS)
+  --timeline NS           gauge sample interval, simulated ns (MILLER_TIMELINE)
+  --timeline-out FILE     timeline JSON output (MILLER_TIMELINE_OUT)
+  --profile FILE          Perfetto trace output (MILLER_PROFILE)
+  --profile-capacity N    flight-recorder events (MILLER_PROFILE_CAPACITY; 1048576)
+Same options + same seed => byte-identical --json output at any --threads or --shards.
 ";
-
-/// Pull the value following `flag` out of `args`, if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Pull a bare switch out of `args`.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
 
 fn cmd_apps() -> Result<(), String> {
     println!("{:<7} {:>8} {:>9} {:>9} {:>7}", "app", "cpu(s)", "totIO(MB)", "MB/s", "R/W");
@@ -135,7 +155,7 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("generate needs an application name")?;
     let kind = AppKind::from_name(name)
         .ok_or_else(|| format!("unknown app `{name}` (try `mio apps`)"))?;
-    let trace = miller_core::app_trace(kind, 1, seed, miller_core::Scale(scale)).trace();
+    let trace = TraceStore::new().artifact(kind, 1, seed, Scale(scale)).trace();
     write_out(&trace, out.as_deref())?;
     eprintln!(
         "generated {}: {} records, {:.1} MB of I/O",
@@ -301,6 +321,263 @@ fn cmd_simulate(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// What every reproduction subcommand shares: the run configuration,
+/// the one trace store built from it, the `--quick` scale and the
+/// `--json` output path.
+struct Run {
+    cfg: RunConfig,
+    store: TraceStore,
+    scale: Scale,
+    json: Option<String>,
+}
+
+impl Run {
+    /// Consume the shared flags from `args`.
+    fn parse(args: &mut Vec<String>) -> Result<Run, String> {
+        let cfg = RunConfig::from_args(args)?;
+        let scale = if take_switch(args, "--quick") { Scale(8) } else { Scale::FULL };
+        let json = take_flag(args, "--json")?;
+        let store = TraceStore::with_config(cfg.store.clone());
+        Ok(Run { cfg, store, scale, json })
+    }
+
+    /// Reject whatever `cmd` did not consume, then start profiling.
+    fn start(&self, cmd: &str, args: &[String]) -> Result<(), String> {
+        if let Some(stray) = args.first() {
+            return Err(format!("{cmd}: unexpected argument `{stray}`"));
+        }
+        self.cfg.start_profile();
+        Ok(())
+    }
+
+    /// The one finish path: write `report` to `--json` (pretty-printed,
+    /// no trailing newline), then export the profile and the timelines.
+    /// Only a failed `--json` write fails the run.
+    fn finish(&self, report: &impl Serialize) -> Result<(), String> {
+        let written = match &self.json {
+            None => Ok(()),
+            Some(path) => serde_json::to_string_pretty(report)
+                .map_err(|e| format!("serialize report: {e}"))
+                .and_then(|text| std::fs::write(path, text).map_err(|e| format!("{path}: {e}")))
+                .map(|()| eprintln!("wrote {path}")),
+        };
+        self.cfg.finish_observers();
+        written
+    }
+}
+
+fn cmd_tables(rest: &[String]) -> Result<(), String> {
+    let mut args = rest.to_vec();
+    let run = Run::parse(&mut args)?;
+    run.start("tables", &args)?;
+    let result = table1(&run.store, &run.cfg, run.scale, 42);
+    println!("{}", render_table1(&result));
+    println!("{}", render_table2(&result));
+    println!("{}", render_compression(&compression_table(&run.store, run.scale, 42)));
+    println!("{}", render_amdahl(&amdahl_table(&run.store, run.scale, 42)));
+    run.finish(&result)
+}
+
+fn cmd_figures(rest: &[String]) -> Result<(), String> {
+    let mut args = rest.to_vec();
+    let run = Run::parse(&mut args)?;
+    run.start("figures", &args)?;
+    let figs = vec![fig3(&run.store, run.scale, 42), fig4(&run.store, run.scale, 42)];
+    for (label, fig) in ["Figure 3", "Figure 4"].iter().zip(&figs) {
+        println!(
+            "{label}: {} — mean {:.1} MB/s, peak {:.1} MB/s, {} peaks (spacing CV {:.2})",
+            fig.app,
+            fig.mean_mb_per_s,
+            fig.peak_mb_per_s,
+            fig.cycles.peaks,
+            fig.cycles.peak_spacing_cv
+        );
+        if let Some(p) = fig.cycles.period_bins {
+            println!("dominant cycle period: {} s (autocorrelation {:.2})", p, fig.cycles.strength);
+        }
+        println!("{}", fig.plot);
+    }
+    run.finish(&figs)
+}
+
+fn cmd_claims(rest: &[String]) -> Result<(), String> {
+    let mut args = rest.to_vec();
+    let run = Run::parse(&mut args)?;
+    run.start("claims", &args)?;
+    let report = all_claims(&run.store, &run.cfg, run.scale, 42);
+    println!("{}", render_claims(&report));
+    run.finish(&report)
+}
+
+fn cmd_ablations(rest: &[String]) -> Result<(), String> {
+    let mut args = rest.to_vec();
+    let run = Run::parse(&mut args)?;
+    run.start("ablations", &args)?;
+    let report = all_ablations(&run.store, &run.cfg, run.scale, 42);
+    println!("{}", render_ablations(&report));
+    run.finish(&report)
+}
+
+/// Parse `--campaign GROUPSxPROCS` (e.g. `1000x10`).
+fn parse_campaign(raw: &str) -> Result<(usize, usize), String> {
+    let (groups, procs) = raw
+        .split_once(['x', 'X'])
+        .ok_or_else(|| format!("--campaign wants GROUPSxPROCS (e.g. 1000x10), got `{raw}`"))?;
+    let groups: usize = groups
+        .trim()
+        .parse()
+        .map_err(|_| format!("--campaign group count must be an integer, got `{groups}`"))?;
+    let procs: usize = procs
+        .trim()
+        .parse()
+        .map_err(|_| format!("--campaign process count must be an integer, got `{procs}`"))?;
+    if groups == 0 || procs == 0 {
+        return Err("--campaign counts must be positive".into());
+    }
+    Ok((groups, procs))
+}
+
+/// Parse `--fig8-point MB:BLOCK` (e.g. `32:4096`).
+fn parse_fig8_point(raw: &str) -> Result<(u64, u64), String> {
+    let (mb, block) = raw
+        .split_once(':')
+        .ok_or_else(|| format!("--fig8-point wants MB:BLOCK, got `{raw}`"))?;
+    let mb: u64 = mb
+        .trim()
+        .parse()
+        .map_err(|_| format!("--fig8-point cache size must be an integer MB, got `{mb}`"))?;
+    let block: u64 = block
+        .trim()
+        .parse()
+        .map_err(|_| format!("--fig8-point block size must be an integer, got `{block}`"))?;
+    if mb == 0 || block == 0 {
+        return Err("--fig8-point sizes must be positive".into());
+    }
+    Ok((mb, block))
+}
+
+/// `mio sim`: Figures 6–8 and the n+1 rule, or one of the narrower runs
+/// the flags select (checked in this order):
+///
+/// * `--devices modern` — the Figure 8 sweep rerun on 2026 hardware
+///   beside the 1991 run, plus a small sharded cluster run; `--json`
+///   writes the `ModernComparison`.
+/// * `--campaign GROUPSxPROCS` — a cluster-scale campaign on `--shards`
+///   engine threads; `--json` writes the `ClusterReport`.
+/// * `--fig8-point MB:BLOCK` — one Figure 8 point; `--json` writes its
+///   `SimReport` (what `mio serve` answers for the same point).
+/// * otherwise the full set; `--json` writes the Figure 8 sweep, and
+///   `--dfg-out PATH` also writes the directly-follows analysis of the
+///   figure traces (JSON at PATH, Graphviz next to it).
+fn cmd_sim(rest: &[String]) -> Result<(), String> {
+    let mut args = rest.to_vec();
+    let run = Run::parse(&mut args)?;
+    let fig8_point =
+        take_flag(&mut args, "--fig8-point")?.map(|r| parse_fig8_point(&r)).transpose()?;
+    let campaign = take_flag(&mut args, "--campaign")?.map(|r| parse_campaign(&r)).transpose()?;
+    let dfg_out = take_flag(&mut args, "--dfg-out")?;
+    run.start("sim", &args)?;
+    let (store, cfg, scale) = (&run.store, &run.cfg, run.scale);
+
+    if cfg.devices == DeviceEra::Era2026 {
+        let c = modern_comparison(store, cfg, scale, 42);
+        print!("{}", render_modern(&c));
+        return run.finish(&c);
+    }
+
+    if let Some((groups, procs)) = campaign {
+        let mut spec = CampaignSpec::datacenter(groups, procs);
+        spec.timeline_ns = cfg.timeline_ns;
+        let report = run_campaign_in(store, &spec, cfg.shards);
+        println!(
+            "campaign {groups}x{procs} on {} shard(s): {} processes, {} I/Os, \
+             {} epochs, {} remote ops ({} MB), utilization {:.1}%, hit ratio {:.3}",
+            cfg.shards,
+            report.total_processes,
+            report.ios_issued,
+            report.epochs,
+            report.remote_ops,
+            report.remote_bytes / MB,
+            report.utilization() * 100.0,
+            report.cache.hit_ratio(),
+        );
+        return run.finish(&report);
+    }
+
+    if let Some((mb, block)) = fig8_point {
+        // Through the sweep harness (a 1-point sweep) so a profiled run
+        // carries a host worker track alongside the simulated-process
+        // tracks — the trace then demonstrates both clock domains.
+        let mut reports = par_sweep(cfg.threads, cfg.progress, &[(mb, block)], |&(mb, block)| {
+            two_venus_report(
+                store,
+                cfg.timeline_ns,
+                mb * MB,
+                block,
+                true,
+                WritePolicy::WriteBehind,
+                scale,
+                42,
+            )
+        });
+        let r = reports.pop().expect("one sweep point");
+        println!(
+            "fig8 point {mb} MB / {block} B blocks: idle {:.1}s, utilization {:.1}%, hit ratio {:.3}",
+            r.idle_secs(),
+            r.utilization() * 100.0,
+            r.cache.hit_ratio()
+        );
+        println!(
+            "obs: ctx switches {}, sync blocks {}, idle transitions {}, wheel inserts {}, \
+             cascades {}, hinted probes {}, unhinted {}, disk seeks {}, sequential {}",
+            r.obs.scheduler.context_switches,
+            r.obs.scheduler.sync_blocks,
+            r.obs.scheduler.idle_transitions,
+            r.obs.timing_wheel.inserts,
+            r.obs.timing_wheel.cascades,
+            r.obs.cache.hinted_index_probes,
+            r.obs.cache.unhinted_index_probes,
+            r.obs.disks.seeks,
+            r.obs.disks.sequential_accesses,
+        );
+        return run.finish(&r);
+    }
+
+    for (label, fig) in
+        [("Figure 6", fig6(store, cfg, scale, 42)), ("Figure 7", fig7(store, cfg, scale, 42))]
+    {
+        println!(
+            "{label}: 2 x venus, {} MB cache — idle {:.1}s, utilization {:.1}%, disk-traffic CV {:.2}",
+            fig.cache_mb,
+            fig.idle_secs,
+            fig.utilization * 100.0,
+            fig.disk_burstiness_cv
+        );
+        println!("{}", fig.plot);
+    }
+    let f8 = fig8(store, cfg, scale, 42);
+    println!("{}", render_fig8(&f8));
+    println!("{}", render_nplus1(&nplus1(cfg, &[1, 2, 4], scale, 42)));
+    // A failed DFG analysis must not cost the Figure 8 output: finish
+    // first, then report the DFG error.
+    let dfg = dfg_out.map_or(Ok(()), |path| {
+        let subjects = experiments::dfg::figure_subjects(42);
+        let report = experiments::dfg::dfg_for_subjects(store, cfg.threads, &subjects, scale)
+            .map_err(|e| format!("dfg analysis: {e}"))?;
+        let dot = experiments::dfg::write_dfg_outputs(&report, std::path::Path::new(&path))
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "dfg: {} process graph(s), {} ops folded — wrote {path} and {}",
+            report.processes.len(),
+            report.total_events,
+            dot.display()
+        );
+        Ok(())
+    });
+    run.finish(&f8)?;
+    dfg
+}
+
 /// Parse the `--socket`/`--tcp` pair shared by `serve` and `submit`.
 fn take_endpoint(args: &mut Vec<String>) -> Result<serve::Endpoint, String> {
     let socket = take_flag(args, "--socket")?;
@@ -321,13 +598,17 @@ fn parse_count(v: Option<String>, flag: &str, default: usize) -> Result<usize, S
 
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
     let mut args = rest.to_vec();
-    // Standard repro flags first: --threads/--shards/--trace-dir/
-    // --trace-mem-budget/--progress/--profile[-capacity] all apply to
-    // the daemon exactly as they do to the one-shot binaries.
-    let profile = experiments::apply_standard_flags(&mut args)?;
+    // Served runs never sample: a timeline belongs to one run, and a
+    // daemon's runs would pile up in the process-wide timeline store.
+    if let Some(flag) = args.iter().find(|a| *a == "--timeline" || *a == "--timeline-out") {
+        return Err(format!("serve: {flag} is not supported; served runs never sample"));
+    }
+    // The run configuration applies to the daemon as it does to the
+    // one-shot subcommands: --threads sizes the worker pool, the trace
+    // flags configure the warm store, --profile records the daemon.
+    let cfg = RunConfig::from_args(&mut args)?;
     let endpoint = take_endpoint(&mut args).map_err(|e| format!("serve: {e}"))?;
-    let workers =
-        parse_count(take_flag(&mut args, "--workers")?, "--workers", experiments::thread_count())?;
+    let workers = parse_count(take_flag(&mut args, "--workers")?, "--workers", cfg.threads)?;
     let max_inflight = parse_count(take_flag(&mut args, "--max-inflight")?, "--max-inflight", 256)?;
     let cache_cap = parse_count(take_flag(&mut args, "--cache-cap")?, "--cache-cap", 512)?;
     let drain_secs = parse_count(take_flag(&mut args, "--drain-timeout")?, "--drain-timeout", 30)?;
@@ -337,28 +618,29 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     if workers == 0 {
         return Err("serve: --workers must be at least 1".into());
     }
+    cfg.start_profile();
     serve::serve(&serve::ServeOptions {
         endpoint,
         engine: serve::EngineConfig {
             workers,
             max_inflight,
             result_cache: cache_cap,
-            store: experiments::StoreConfig::from_env(),
+            store: cfg.store.clone(),
         },
         drain_timeout: std::time::Duration::from_secs(drain_secs as u64),
     })?;
     // Part of graceful shutdown: the flight recorder flushes after the
     // drain, so a SIGINT'd daemon still leaves a complete timeline.
-    if let Some(path) = &profile {
+    if let Some(path) = &cfg.profile {
         obs::finish_profile(path);
     }
     Ok(())
 }
 
 /// Build the request body from the `submit` flags. `--quick` mirrors
-/// `repro-sim --quick` (scale 8); campaign scale defaults to 16 like
+/// `mio sim --quick` (scale 8); campaign scale defaults to 16 like
 /// `CampaignSpec::datacenter`, so served responses line up with the
-/// one-shot binary byte for byte.
+/// one-shot run byte for byte.
 fn submit_body(args: &mut Vec<String>) -> Result<serve::RequestBody, String> {
     let quick = take_switch(args, "--quick");
     let scale = take_flag(args, "--scale")?
@@ -381,11 +663,7 @@ fn submit_body(args: &mut Vec<String>) -> Result<serve::RequestBody, String> {
         );
     }
     if let Some(raw) = fig8 {
-        let (mb, block) = raw
-            .split_once(':')
-            .ok_or_else(|| format!("--fig8-point wants MB:BLOCK, got `{raw}`"))?;
-        let cache_mb: u64 = mb.trim().parse().map_err(|_| "bad --fig8-point cache MB")?;
-        let block: u64 = block.trim().parse().map_err(|_| "bad --fig8-point block size")?;
+        let (cache_mb, block) = parse_fig8_point(&raw)?;
         return Ok(serve::RequestBody::Fig8Point(serve::Fig8PointSpec {
             cache_mb,
             block,
@@ -394,11 +672,7 @@ fn submit_body(args: &mut Vec<String>) -> Result<serve::RequestBody, String> {
         }));
     }
     if let Some(raw) = campaign {
-        let (groups, procs) = raw
-            .split_once(['x', 'X'])
-            .ok_or_else(|| format!("--campaign wants GROUPSxPROCS, got `{raw}`"))?;
-        let groups: usize = groups.trim().parse().map_err(|_| "bad --campaign group count")?;
-        let procs: usize = procs.trim().parse().map_err(|_| "bad --campaign process count")?;
+        let (groups, procs) = parse_campaign(&raw)?;
         let mut spec = serve::CampaignPointSpec::datacenter(groups, procs, shards);
         if let Some(k) = scale {
             spec.scale = k;
@@ -421,7 +695,10 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
     if let Some(stray) = args.first() {
         return Err(format!("submit: unexpected argument `{stray}`"));
     }
-    let resp = serve::submit_once(&endpoint, &serve::Request { id: 1, client, body })?;
+    // No flag of its own: `--shards` here is the request's. The
+    // heartbeat echo follows the environment default alone.
+    let progress = RunConfig::from_args(&mut Vec::new())?.progress;
+    let resp = serve::submit_once(&endpoint, &serve::Request { id: 1, client, body }, progress)?;
     match resp.event.as_str() {
         "done" => {
             if resp.cached == Some(true) {
@@ -432,7 +709,7 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
                     eprintln!("mio submit: ok");
                 }
                 Some(value) => {
-                    // Same bytes as `repro-sim --json`: pretty-printed,
+                    // Same bytes as `mio sim --json`: pretty-printed,
                     // no trailing newline, so CI can `cmp` the files.
                     let text = serde_json::to_string_pretty(&value)
                         .map_err(|e| format!("serialize result: {e}"))?;
@@ -464,7 +741,8 @@ fn cmd_stats(rest: &[String]) -> Result<(), String> {
         return Err(format!("stats: unexpected argument `{stray}`"));
     }
     let body = if prom { serve::RequestBody::Metrics } else { serve::RequestBody::Stats };
-    let resp = serve::submit_once(&endpoint, &serve::Request { id: 1, client: None, body })?;
+    let resp =
+        serve::submit_once(&endpoint, &serve::Request { id: 1, client: None, body }, false)?;
     match resp.event.as_str() {
         "done" => match resp.result {
             // The Metrics payload is the exposition body itself; print
@@ -547,7 +825,7 @@ mod tests {
 
     #[test]
     fn submit_body_matches_the_one_shot_binaries() {
-        // --quick must land on repro-sim's Scale(8); campaign defaults
+        // --quick must land on `mio sim`'s Scale(8); campaign defaults
         // must be CampaignSpec::datacenter's (scale 16, seed 42).
         let body = submit_body(&mut argv("--fig8-point 32:4096 --quick")).unwrap();
         assert_eq!(

@@ -90,3 +90,56 @@ fn translate_then_simulate() {
     assert!(ok);
     assert!(out.contains("2 CPUs"));
 }
+
+/// Exit code and stderr of one `mio` run.
+fn mio_status(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mio")).args(args).output().expect("run mio");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn unwritable_json_path_exits_2_without_panicking() {
+    let (code, err) =
+        mio_status(&["sim", "--quick", "--fig8-point", "32:4096", "--json", "/nonexistent/x.json"]);
+    assert_eq!(code, Some(2), "stderr: {err}");
+    assert!(err.contains("mio: /nonexistent/x.json: "), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
+#[test]
+fn unwritable_dfg_out_still_writes_the_figure_8_json() {
+    let json = tmp("dfg-fail-fig8.json");
+    let _ = std::fs::remove_file(&json);
+    let (code, err) =
+        mio_status(&["sim", "--quick", "--dfg-out", "/nonexistent/d.json", "--json", &json]);
+    assert_eq!(code, Some(2), "stderr: {err}");
+    assert!(err.contains("mio: /nonexistent/d.json: "), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(std::path::Path::new(&json).exists(), "Figure 8 JSON written before the DFG error");
+}
+
+#[test]
+fn run_subcommands_reject_bad_flags_with_exit_2() {
+    for args in [
+        &["sim", "--threads", "0"][..],
+        &["sim", "--quick", "--bogus"],
+        &["tables", "--trace-dir", "--quick"],
+        &["claims", "--devices", "bogus"],
+        &["sim", "--quick", "--json"],
+    ] {
+        let (code, err) = mio_status(args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn serve_rejects_timeline_flags() {
+    let sock = tmp("timeline-reject.sock");
+    for flag in [["--timeline", "1000000"], ["--timeline-out", "tl.json"]] {
+        let (code, err) = mio_status(&["serve", "--socket", &sock, flag[0], flag[1]]);
+        assert_eq!(code, Some(2), "{flag:?}: {err}");
+        assert!(err.contains("never sample"), "{flag:?}: {err}");
+    }
+    assert!(!std::path::Path::new(&sock).exists(), "rejected before binding");
+}

@@ -70,7 +70,7 @@ fn ssd_keeps_single_apps_nearly_fully_utilized() {
     // §6.3: with the SSD share, one I/O-intensive job keeps the CPU busy.
     // At 1/8 scale the one-time cold staging of the data set weighs 8x
     // heavier than at full scale, so the bars are scale-adjusted; the
-    // full-scale numbers are produced by `repro-claims` (C2) and recorded
+    // full-scale numbers are produced by `mio claims` (C2) and recorded
     // in EXPERIMENTS.md.
     for (kind, bar) in [
         (AppKind::Venus, 0.85),
