@@ -52,10 +52,10 @@
 //! span profiling forcibly *disabled*, timed as the best of five
 //! repetitions interleaved with the profiling-on sweep, so it guards
 //! the zero-overhead claim of the observability layer against the
-//! hot-path baseline. The rate comparison is skipped (with a note)
-//! when the baseline was recorded at a different thread count or scale,
-//! since rates are only comparable like-for-like; the allocation gates
-//! are absolute and always apply.
+//! hot-path baseline. Rates are only comparable like-for-like, so a
+//! baseline recorded at a different thread count or scale, or one that
+//! no longer parses as the current report shape, fails the run before
+//! any sweep starts; the allocation gates are absolute and always apply.
 //!
 //! Observability: the same grid is re-run as `fig8_sweep_obs_on` with
 //! the span recorder enabled, and the report's `obs` section summarizes
@@ -820,14 +820,6 @@ fn measure_alloc_per_event(cfg: &RunConfig, scale: Scale, seed: u64, with_obs: b
 /// Compare `report` against the already-parsed `base`line. Returns the
 /// list of sweeps that regressed beyond tolerance (empty = pass).
 fn compare_baseline(report: &BenchReport, base: &BenchReport) -> Vec<String> {
-    if base.threads != report.threads || base.scale != report.scale {
-        eprintln!(
-            "baseline was recorded at threads={}/scale={}, this run is \
-             threads={}/scale={}; rates are not comparable, skipping the check",
-            base.threads, base.scale, report.threads, report.scale
-        );
-        return Vec::new();
-    }
     let mut regressed = Vec::new();
     for s in &report.sweeps {
         let Some(b) = base.sweeps.iter().find(|b| b.name == s.name) else {
@@ -857,6 +849,25 @@ fn compare_baseline(report: &BenchReport, base: &BenchReport) -> Vec<String> {
         }
     }
     regressed
+}
+
+/// Read a `--baseline` file that this run's rates can be compared with.
+fn load_baseline(path: &str, threads: usize, scale: u32) -> Result<BenchReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let base = serde_json::from_str::<BenchReport>(&text).map_err(|e| {
+        format!(
+            "baseline {path} does not parse as the current report shape ({e}); \
+             regenerate BENCH_sim.json"
+        )
+    })?;
+    if base.threads != threads || base.scale != scale {
+        return Err(format!(
+            "baseline {path} was recorded at threads={}/scale={}, this run is \
+             threads={threads}/scale={scale}; regenerate BENCH_sim.json",
+            base.threads, base.scale
+        ));
+    }
+    Ok(base)
 }
 
 fn main() -> ExitCode {
@@ -901,34 +912,23 @@ fn main() -> ExitCode {
         }
     }
 
-    // Parse the baseline up front: the baseline path is usually the
-    // same BENCH_sim.json this run is about to overwrite. A missing
-    // file is an error (a typoed path must not silently pass CI), but a
-    // file that no longer parses as the current report shape — a
-    // baseline recorded before a metric existed, or after one was
-    // reshaped — only skips the comparison: new metrics must not brick
-    // every checkout holding an older BENCH_sim.json.
+    let (scale, seed) = (SCALE, 42);
+    // Check the baseline before any sweep runs: the baseline path is
+    // usually the same BENCH_sim.json this run is about to overwrite.
+    // A missing file, a file that no longer parses as the current report
+    // shape, and one recorded at another thread count or scale are all
+    // errors: none of them may silently disable the regression gate.
     let base = match &baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("repro_bench: {path}: {e}");
+        Some(path) => match load_baseline(path, cfg.threads, scale.0) {
+            Ok(b) => Some(b),
+            Err(msg) => {
+                eprintln!("repro_bench: {msg}");
                 return ExitCode::FAILURE;
             }
-            Ok(text) => match serde_json::from_str::<BenchReport>(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!(
-                        "repro_bench: baseline {path} predates the current report \
-                         shape ({e}); skipping the baseline comparison"
-                    );
-                    None
-                }
-            },
         },
         None => None,
     };
 
-    let (scale, seed) = (SCALE, 42);
     let store = TraceStore::with_config(cfg.store.clone());
 
     let mut sweeps = run_benches(&store, &cfg, scale, seed);

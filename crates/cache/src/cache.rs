@@ -300,6 +300,39 @@ impl PinnedSpan {
     }
 }
 
+/// Hit slots already linked in order in the recency list, waiting to
+/// move to the most-recently-used end together. Touching each slot of
+/// such a chain in turn leaves the list exactly as one splice of the
+/// whole chain does, so a run of hits pays one splice instead of one
+/// unlink/relink per block.
+#[derive(Debug, Clone, Copy)]
+struct HitChain {
+    /// LRU-most slot of the chain; `NIL` when no chain is pending.
+    first: u32,
+    /// MRU-most slot of the chain.
+    last: u32,
+}
+
+impl HitChain {
+    const EMPTY: HitChain = HitChain { first: NIL, last: NIL };
+}
+
+/// Blocks `first..first + count` of `file_id`, dirtied at the same
+/// instant and queued for background flush one after another: a run of
+/// per-block flush-queue entries folded into one. A write dirties whole
+/// runs of blocks at once, so the queue holds one entry per run.
+#[derive(Debug, Clone, Copy)]
+struct FlushRun {
+    file_id: u32,
+    first: u64,
+    count: u64,
+    /// When the run's blocks were dirtied; a block whose frame no longer
+    /// carries this stamp was flushed, evicted or re-dirtied since.
+    dirty_since: SimTime,
+    /// When the run becomes flushable.
+    ready_at: SimTime,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct SeqTrack {
     next_offset: u64,
@@ -310,9 +343,13 @@ struct SeqTrack {
 #[derive(Debug)]
 pub struct BlockCache {
     config: CacheConfig,
+    /// `config.capacity_blocks()`, fixed at construction.
+    capacity_blocks: u64,
     /// Resident blocks: key → slot in `frames`.
     index: PagedIndex,
     /// Slab of frames; freed slots chain on `free` via `Frame::next`.
+    /// Only the ownership cap frees frames: a full cache recycles its
+    /// victim's frame in place.
     frames: Vec<Frame>,
     /// Least recently used end of the recency list.
     head: u32,
@@ -326,8 +363,11 @@ pub struct BlockCache {
     track_owners: bool,
     per_owner: FxHashMap<u32, LruIndex<Key>>,
     owner_counts: FxHashMap<u32, u64>,
-    /// Dirty blocks awaiting background flush, ordered by readiness time.
-    flush_q: VecDeque<(Key, SimTime /* dirty_since */, SimTime /* ready_at */)>,
+    /// Dirty block runs awaiting background flush, ordered by readiness
+    /// time.
+    flush_q: VecDeque<FlushRun>,
+    /// Resident dirty blocks.
+    dirty_blocks: u64,
     /// Per (process, file) sequential-read detector state.
     seq: FxHashMap<(u32, u32), SeqTrack>,
     /// Scratch for flush-batch block keys, reused across batches.
@@ -349,6 +389,7 @@ impl BlockCache {
         config.validate();
         BlockCache {
             track_owners: config.per_process_cap_blocks.is_some(),
+            capacity_blocks: config.capacity_blocks(),
             config,
             index: PagedIndex::default(),
             frames: Vec::new(),
@@ -358,6 +399,7 @@ impl BlockCache {
             per_owner: FxHashMap::default(),
             owner_counts: FxHashMap::default(),
             flush_q: VecDeque::new(),
+            dirty_blocks: 0,
             seq: FxHashMap::default(),
             flush_keys: Vec::new(),
             own_skip: Vec::new(),
@@ -399,15 +441,24 @@ impl BlockCache {
 
     /// Bytes of dirty data currently buffered.
     pub fn dirty_bytes(&self) -> u64 {
-        // Freed frames always have `dirty` cleared, so the whole slab can
-        // be scanned without consulting the free list.
-        self.frames.iter().filter(|f| f.dirty).count() as u64 * self.config.block_size
+        self.dirty_blocks * self.config.block_size
     }
 
     /// Whether the block containing `offset` of `file_id` is resident
     /// (test/diagnostic helper).
     pub fn contains(&self, file_id: u32, offset: u64) -> bool {
         self.index.contains_key(&(file_id, offset / self.config.block_size))
+    }
+
+    /// Resident blocks as `(file_id, block)` from least to most recently
+    /// used: the order eviction visits them in (test/diagnostic helper).
+    pub fn lru_keys(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let mut i = self.head;
+        std::iter::from_fn(move || {
+            let f = self.frames.get(i as usize)?;
+            i = f.next;
+            Some(f.key)
+        })
     }
 
     #[inline]
@@ -444,12 +495,54 @@ impl BlockCache {
         self.tail = i;
     }
 
+    /// Move the linked segment `first..=last` (in LRU-to-MRU order) to
+    /// the most-recently-used end, keeping its internal order.
+    #[inline]
+    fn splice_to_tail(&mut self, first: u32, last: u32) {
+        if self.tail == last {
+            return;
+        }
+        // `last` is not the tail, so a successor exists and the list is
+        // non-empty.
+        let prev = self.frames[first as usize].prev;
+        let next = self.frames[last as usize].next;
+        match prev {
+            NIL => self.head = next,
+            p => self.frames[p as usize].next = next,
+        }
+        self.frames[next as usize].prev = prev;
+        self.frames[first as usize].prev = self.tail;
+        self.frames[self.tail as usize].next = first;
+        self.frames[last as usize].next = NIL;
+        self.tail = last;
+    }
+
     /// Mark slot `i` most recently used.
     #[inline]
     fn touch_slot(&mut self, i: u32) {
-        if self.tail != i {
-            self.unlink(i);
-            self.push_tail(i);
+        self.splice_to_tail(i, i);
+    }
+
+    /// Record a hit on `slot`: extend the pending chain when `slot`
+    /// follows it in the recency list, otherwise move the chain to the
+    /// MRU end and start a new one at `slot`.
+    #[inline]
+    fn chain_hit(&mut self, chain: &mut HitChain, slot: u32) {
+        if chain.first != NIL && self.frames[chain.last as usize].next == slot {
+            chain.last = slot;
+        } else {
+            self.splice_chain(chain);
+            *chain = HitChain { first: slot, last: slot };
+        }
+    }
+
+    /// Move the pending chain to the MRU end and empty it. Called before
+    /// any eviction walks the list and when a request's demand loop ends.
+    #[inline]
+    fn splice_chain(&mut self, chain: &mut HitChain) {
+        if chain.first != NIL {
+            self.splice_to_tail(chain.first, chain.last);
+            *chain = HitChain::EMPTY;
         }
     }
 
@@ -468,8 +561,8 @@ impl BlockCache {
         }
     }
 
-    /// Return slot `i` to the free list. Clears `dirty` so slab scans
-    /// ([`Self::dirty_bytes`], [`Self::flush_all`]) skip freed frames.
+    /// Return slot `i` to the free list. Clears `dirty` so the slab scan
+    /// in [`Self::flush_all`] skips freed frames.
     fn free_frame(&mut self, i: u32) {
         let f = &mut self.frames[i as usize];
         f.dirty = false;
@@ -477,13 +570,12 @@ impl BlockCache {
         self.free = i;
     }
 
-    /// Remove the frame at `slot` from the cache, accounting for its
-    /// state. Returns the writeback range when the victim was dirty.
-    fn finish_evict(&mut self, slot: u32) -> Option<ByteRange> {
+    /// Drop the block in frame `slot` from the index and the ownership
+    /// tracking and account for its eviction; the frame stays linked and
+    /// allocated. Returns the writeback range when the victim was dirty.
+    fn evict_entry(&mut self, slot: u32) -> Option<ByteRange> {
         let f = self.frames[slot as usize];
         self.index.remove_hinted(&f.key, &mut self.evict_hint);
-        self.unlink(slot);
-        self.free_frame(slot);
         if self.track_owners {
             if let Some(lru) = self.per_owner.get_mut(&f.owner) {
                 lru.remove(&f.key);
@@ -496,6 +588,7 @@ impl BlockCache {
             self.stats.wasted_prefetch_blocks += 1;
         }
         if f.dirty {
+            self.dirty_blocks -= 1;
             self.stats.dirty_evictions += 1;
             let bs = self.config.block_size;
             self.stats.device_bytes_written += bs;
@@ -506,7 +599,16 @@ impl BlockCache {
         }
     }
 
-    fn select_victim(&mut self, pinned: &PinnedSpan) -> Option<u32> {
+    /// Evict the block in frame `slot` and free the frame.
+    fn finish_evict(&mut self, slot: u32) -> Option<ByteRange> {
+        let wb = self.evict_entry(slot);
+        self.unlink(slot);
+        self.free_frame(slot);
+        wb
+    }
+
+    /// The block to evict from a full, hence non-empty, cache.
+    fn select_victim(&mut self, pinned: &PinnedSpan) -> u32 {
         // Global LRU, sparing pinned (in-flight request) blocks while any
         // alternative exists: pinned blocks found at the LRU end are
         // re-touched (they are part of the in-flight request, so making
@@ -515,28 +617,19 @@ impl BlockCache {
         // pinned — a request larger than the whole cache — the request
         // streams through by sacrificing the first pinned block popped,
         // exactly as the old pop-and-requeue loop did.
-        let resident = self.index.len();
         let mut first_pinned = NIL;
-        let mut pops = 0usize;
-        loop {
-            if pops >= resident {
-                // Cycled through the whole list: everything is pinned.
-                return (first_pinned != NIL).then_some(first_pinned);
-            }
+        for _ in 0..self.index.len() {
             let i = self.head;
-            if i == NIL {
-                return None;
+            if !pinned.contains(&self.frames[i as usize].key) {
+                return i;
             }
-            if pinned.contains(&self.frames[i as usize].key) {
-                if first_pinned == NIL {
-                    first_pinned = i;
-                }
-                self.touch_slot(i);
-                pops += 1;
-            } else {
-                return Some(i);
+            if first_pinned == NIL {
+                first_pinned = i;
             }
+            self.touch_slot(i);
         }
+        // Cycled through the whole list: everything is pinned.
+        first_pinned
     }
 
     /// Pick one of `owner`'s own blocks to evict (ownership-cap
@@ -579,27 +672,28 @@ impl BlockCache {
         writebacks: &mut Vec<ByteRange>,
         hint: &mut u32,
     ) {
-        while self.index.len() as u64 >= self.config.capacity_blocks() {
-            match self.select_victim(pinned) {
-                Some(victim) => {
-                    if let Some(wb) = self.finish_evict(victim) {
-                        writebacks.push(wb);
-                    }
-                }
-                None => break, // cache empty; nothing to evict
+        debug_assert!(self.index.len() as u64 <= self.capacity_blocks, "cache over capacity");
+        let frame = Frame { key, owner, dirty, prefetched, dirty_since: now, prev: NIL, next: NIL };
+        let slot = if self.index.len() as u64 >= self.capacity_blocks {
+            // Full, and never over capacity, so exactly one victim makes
+            // room; its frame is reused in place as the new MRU block.
+            let victim = self.select_victim(pinned);
+            if let Some(wb) = self.evict_entry(victim) {
+                writebacks.push(wb);
             }
-        }
-        let slot = self.alloc_frame(Frame {
-            key,
-            owner,
-            dirty,
-            prefetched,
-            dirty_since: now,
-            prev: NIL,
-            next: NIL,
-        });
+            let f = &mut self.frames[victim as usize];
+            *f = Frame { prev: f.prev, next: f.next, ..frame };
+            self.touch_slot(victim);
+            victim
+        } else {
+            let slot = self.alloc_frame(frame);
+            self.push_tail(slot);
+            slot
+        };
         self.index.insert_hinted(key, slot, hint);
-        self.push_tail(slot);
+        if dirty {
+            self.dirty_blocks += 1;
+        }
         if self.track_owners {
             *self.owner_counts.entry(owner).or_insert(0) += 1;
             self.per_owner.entry(owner).or_default().touch(key);
@@ -665,21 +759,19 @@ impl BlockCache {
         let pinned = PinnedSpan { file_id, first, last };
 
         let mut hint = NO_PAGE;
+        let mut chain = HitChain::EMPTY;
         let mut run_start: Option<u64> = None;
         for b in first..=last {
             let key = (file_id, b);
-            self.stats.accessed_blocks += 1;
             if let Some(slot) = self.index.get_hinted(&key, &mut hint) {
-                self.stats.hit_blocks += 1;
                 out.hit_blocks += 1;
                 let f = &mut self.frames[slot as usize];
                 let owner = f.owner;
                 if f.prefetched {
                     f.prefetched = false;
-                    self.stats.readahead_hit_blocks += 1;
                     out.readahead_hit_blocks += 1;
                 }
-                self.touch_slot(slot);
+                self.chain_hit(&mut chain, slot);
                 if self.track_owners {
                     self.per_owner.entry(owner).or_default().touch(key);
                 }
@@ -691,12 +783,17 @@ impl BlockCache {
                     });
                 }
             } else {
-                self.stats.miss_blocks += 1;
                 out.miss_blocks += 1;
                 run_start.get_or_insert(b);
+                self.splice_chain(&mut chain);
                 self.install(key, pid, false, false, now, &pinned, &mut out.writebacks, &mut hint);
             }
         }
+        self.splice_chain(&mut chain);
+        self.stats.accessed_blocks += last + 1 - first;
+        self.stats.hit_blocks += out.hit_blocks;
+        self.stats.readahead_hit_blocks += out.readahead_hit_blocks;
+        self.stats.miss_blocks += out.miss_blocks;
         if let Some(start) = run_start {
             out.fetches.push(ByteRange {
                 file_id,
@@ -792,29 +889,28 @@ impl BlockCache {
         let write_through = matches!(self.config.write_policy, WritePolicy::WriteThrough);
 
         let mut hint = NO_PAGE;
+        let mut chain = HitChain::EMPTY;
+        let mut hits = 0;
         for b in first..=last {
             let key = (file_id, b);
-            self.stats.accessed_blocks += 1;
             if let Some(slot) = self.index.get_hinted(&key, &mut hint) {
-                self.stats.hit_blocks += 1;
+                hits += 1;
                 let f = &mut self.frames[slot as usize];
                 let owner = f.owner;
                 f.prefetched = false;
-                let newly_dirty = !write_through && !f.dirty;
-                if newly_dirty {
+                if !write_through && !f.dirty {
                     f.dirty = true;
                     f.dirty_since = now;
                     out.dirtied_blocks += 1;
-                }
-                if newly_dirty {
+                    self.dirty_blocks += 1;
                     self.enqueue_flush(key, now);
                 }
-                self.touch_slot(slot);
+                self.chain_hit(&mut chain, slot);
                 if self.track_owners {
                     self.per_owner.entry(owner).or_default().touch(key);
                 }
             } else {
-                self.stats.miss_blocks += 1;
+                self.splice_chain(&mut chain);
                 self.install(key, pid, !write_through, false, now, &pinned, &mut out.writebacks, &mut hint);
                 if !write_through {
                     out.dirtied_blocks += 1;
@@ -822,6 +918,11 @@ impl BlockCache {
                 }
             }
         }
+        self.splice_chain(&mut chain);
+        let blocks = last + 1 - first;
+        self.stats.accessed_blocks += blocks;
+        self.stats.hit_blocks += hits;
+        self.stats.miss_blocks += blocks - hits;
         if write_through {
             let range = ByteRange {
                 file_id,
@@ -837,13 +938,25 @@ impl BlockCache {
             .insert((pid, file_id), SeqTrack { next_offset: offset + length });
     }
 
-    fn enqueue_flush(&mut self, key: Key, dirty_since: SimTime) {
+    /// Queue block `key`, just dirtied at `dirty_since`, for background
+    /// flush: extend the newest run when the block continues it,
+    /// otherwise open a run.
+    fn enqueue_flush(&mut self, (file_id, block): Key, dirty_since: SimTime) {
         let ready_at = match self.config.write_policy {
             WritePolicy::WriteThrough => return,
             WritePolicy::WriteBehind => dirty_since,
             WritePolicy::Delayed(d) => dirty_since + d,
         };
-        self.flush_q.push_back((key, dirty_since, ready_at));
+        if let Some(run) = self.flush_q.back_mut() {
+            if run.file_id == file_id
+                && run.dirty_since == dirty_since
+                && run.first + run.count == block
+            {
+                run.count += 1;
+                return;
+            }
+        }
+        self.flush_q.push_back(FlushRun { file_id, first: block, count: 1, dirty_since, ready_at });
     }
 
     /// Pop up to `max_bytes` of flush-ready dirty data, marking it clean
@@ -877,17 +990,24 @@ impl BlockCache {
         let mut budget = max_bytes;
         let mut hint = NO_PAGE;
         while budget >= bs {
-            match self.flush_q.front() {
-                Some(&(_, _, ready_at)) if ready_at <= now => {}
+            // Consume the front run one block at a time.
+            let run = match self.flush_q.front_mut() {
+                Some(run) if run.ready_at <= now => run,
                 _ => break,
+            };
+            let (key, dirty_since) = ((run.file_id, run.first), run.dirty_since);
+            run.first += 1;
+            run.count -= 1;
+            if run.count == 0 {
+                self.flush_q.pop_front();
             }
-            let (key, dirty_since, _) = self.flush_q.pop_front().expect("front just observed");
             // A stale entry — evicted, already flushed, or re-dirtied —
             // is silently skipped.
             if let Some(slot) = self.index.get_hinted(&key, &mut hint) {
                 let f = &mut self.frames[slot as usize];
                 if f.dirty && f.dirty_since == dirty_since {
                     f.dirty = false;
+                    self.dirty_blocks -= 1;
                     blocks.push(key);
                     budget -= bs;
                 }
@@ -907,12 +1027,12 @@ impl BlockCache {
 
     /// True when dirty data is ready to flush at `now`.
     pub fn has_flushable(&self, now: SimTime) -> bool {
-        self.flush_q.front().is_some_and(|&(_, _, r)| r <= now)
+        self.flush_q.front().is_some_and(|r| r.ready_at <= now)
     }
 
     /// The earliest time any queued dirty block becomes flushable.
     pub fn next_flush_ready(&self) -> Option<SimTime> {
-        self.flush_q.front().map(|&(_, _, r)| r)
+        self.flush_q.front().map(|r| r.ready_at)
     }
 
     /// Drain every dirty block regardless of age (end-of-run quiesce).
@@ -929,6 +1049,7 @@ impl BlockCache {
         }
         blocks.sort_unstable();
         self.flush_q.clear();
+        self.dirty_blocks = 0;
         let ranges = coalesce(blocks, bs);
         for r in &ranges {
             self.stats.device_bytes_written += r.length;
@@ -1001,6 +1122,35 @@ mod tests {
         assert_eq!(c.obs_counters().flush_batches, 1);
         c.take_flush_batch(t(4), u64::MAX);
         assert_eq!(c.obs_counters().flush_batches, 1);
+    }
+
+    #[test]
+    fn index_probe_counts_are_pinned_on_a_fixed_sequence() {
+        // Every report serializes the probe counters, so batching list or
+        // flush-queue work must leave them exactly as they are. The
+        // sequence covers hit runs, misses with clean and dirty
+        // evictions, read-ahead, re-dirtying, flushes under a budget of
+        // less than one run, and the ownership cap.
+        let mut cfg = CacheConfig::buffered(64 * KB); // 16 blocks
+        cfg.per_process_cap_blocks = Some(12);
+        let mut c = BlockCache::new(cfg);
+        for i in 0..6u64 {
+            c.read(t(i), 1, 1, i * 24 * KB, 24 * KB);
+            c.write(t(i), 2, 2, (i % 3) * 16 * KB, 20 * KB);
+            c.read(t(i), 1, 1, (i % 2) * 24 * KB, 40 * KB);
+            c.take_flush_batch(t(i), 12 * KB);
+        }
+        c.flush_all();
+        let o = c.obs_counters();
+        assert_eq!(
+            (o.hinted_index_probes, o.unhinted_index_probes, o.flush_batches),
+            (274, 54, 6),
+            "{o:?}"
+        );
+        assert_eq!(
+            (o.hit_blocks, o.miss_blocks, o.clean_evictions, o.dirty_evictions),
+            (35, 91, 69, 6)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// Counters accumulated by a [`crate::BlockCache`]. Block-granular counts
 /// satisfy the invariant `hit_blocks + miss_blocks == accessed_blocks`,
 /// which the property tests assert.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Logical read calls observed.
     pub read_calls: u64,

@@ -1,0 +1,501 @@
+//! Differential test: `BlockCache` against a naive per-block reference
+//! model.
+//!
+//! The model keeps the recency list as a `Vec` (least recent first), the
+//! per-block state in a `HashMap` and the flush queue as one `VecDeque`
+//! entry per dirtied block, and does every list operation one block at a
+//! time. The real cache does its list and flush-queue work once per run
+//! of blocks, so driving both with the same operations and comparing
+//! after every step checks that the batching is invisible: the same
+//! outcomes, statistics, resident set, eviction order and dirty bytes.
+
+use buffer_cache::{BlockCache, ByteRange, CacheConfig, CacheStats, WritePolicy};
+use proptest::prelude::*;
+use sim_core::units::KB;
+use sim_core::{SimDuration, SimTime};
+use std::collections::{HashMap, VecDeque};
+
+type Key = (u32, u64);
+
+#[derive(Debug, Clone, Copy)]
+struct Blk {
+    owner: u32,
+    dirty: bool,
+    prefetched: bool,
+    dirty_since: SimTime,
+}
+
+/// The reference: the cache's documented behavior, one block at a time.
+struct Model {
+    cfg: CacheConfig,
+    /// Recency list, least recently used first.
+    lru: Vec<Key>,
+    blocks: HashMap<Key, Blk>,
+    /// One `(block, dirty_since, ready_at)` per dirtied block.
+    flush_q: VecDeque<(Key, SimTime, SimTime)>,
+    /// Per-owner recency (least recent first), kept only under a cap.
+    per_owner: HashMap<u32, Vec<Key>>,
+    owner_counts: HashMap<u32, u64>,
+    seq: HashMap<(u32, u32), u64>,
+    stats: CacheStats,
+}
+
+#[derive(Debug, Default, PartialEq)]
+struct ReadOut {
+    hit_blocks: u64,
+    readahead_hit_blocks: u64,
+    miss_blocks: u64,
+    fetches: Vec<ByteRange>,
+    prefetch: Vec<ByteRange>,
+    writebacks: Vec<ByteRange>,
+}
+
+#[derive(Debug, Default, PartialEq)]
+struct WriteOut {
+    write_through: Vec<ByteRange>,
+    writebacks: Vec<ByteRange>,
+    dirtied_blocks: u64,
+}
+
+fn touch(list: &mut Vec<Key>, key: Key) {
+    list.retain(|k| *k != key);
+    list.push(key);
+}
+
+/// Merge sorted block keys into per-file byte ranges.
+fn coalesce(mut keys: Vec<Key>, bs: u64) -> Vec<ByteRange> {
+    keys.sort_unstable();
+    let mut out: Vec<ByteRange> = Vec::new();
+    for (file_id, b) in keys {
+        match out.last_mut() {
+            Some(r) if r.file_id == file_id && r.end() == b * bs => r.length += bs,
+            _ => out.push(ByteRange { file_id, offset: b * bs, length: bs }),
+        }
+    }
+    out
+}
+
+/// Push one block onto a list of per-run ranges, extending the last run
+/// when the block continues it.
+fn push_block(ranges: &mut Vec<ByteRange>, file_id: u32, b: u64, bs: u64) {
+    match ranges.last_mut() {
+        Some(r) if r.file_id == file_id && r.end() == b * bs => r.length += bs,
+        _ => ranges.push(ByteRange { file_id, offset: b * bs, length: bs }),
+    }
+}
+
+impl Model {
+    fn new(cfg: CacheConfig) -> Model {
+        Model {
+            cfg,
+            lru: Vec::new(),
+            blocks: HashMap::new(),
+            flush_q: VecDeque::new(),
+            per_owner: HashMap::new(),
+            owner_counts: HashMap::new(),
+            seq: HashMap::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn capped(&self) -> bool {
+        self.cfg.per_process_cap_blocks.is_some()
+    }
+
+    fn span(&self, offset: u64, length: u64) -> (u64, u64) {
+        let bs = self.cfg.block_size;
+        (offset / bs, (offset + length - 1) / bs)
+    }
+
+    fn hit(&mut self, key: Key) {
+        touch(&mut self.lru, key);
+        if self.capped() {
+            let owner = self.blocks[&key].owner;
+            touch(self.per_owner.entry(owner).or_default(), key);
+        }
+    }
+
+    fn evict(&mut self, key: Key, writebacks: &mut Vec<ByteRange>) {
+        let blk = self.blocks.remove(&key).expect("victim is resident");
+        self.lru.retain(|k| *k != key);
+        if self.capped() {
+            if let Some(own) = self.per_owner.get_mut(&blk.owner) {
+                own.retain(|k| *k != key);
+            }
+            if let Some(c) = self.owner_counts.get_mut(&blk.owner) {
+                *c = c.saturating_sub(1);
+            }
+        }
+        if blk.prefetched {
+            self.stats.wasted_prefetch_blocks += 1;
+        }
+        let bs = self.cfg.block_size;
+        if blk.dirty {
+            self.stats.dirty_evictions += 1;
+            self.stats.device_bytes_written += bs;
+            writebacks.push(ByteRange { file_id: key.0, offset: key.1 * bs, length: bs });
+        } else {
+            self.stats.clean_evictions += 1;
+        }
+    }
+
+    /// Least recently used unpinned block; pinned blocks passed over on
+    /// the way become most recent. When every block is pinned, the least
+    /// recent one goes.
+    fn select_victim(&mut self, pinned: &dyn Fn(&Key) -> bool) -> Key {
+        if let Some(i) = self.lru.iter().position(|k| !pinned(k)) {
+            let passed: Vec<Key> = self.lru.drain(..i).collect();
+            self.lru.extend(passed);
+        }
+        self.lru[0]
+    }
+
+    fn select_own_victim(&mut self, owner: u32, pinned: &dyn Fn(&Key) -> bool) -> Option<Key> {
+        let own = self.per_owner.get_mut(&owner)?;
+        let victim = match own.iter().position(|k| !pinned(k)) {
+            Some(i) => own[i],
+            None => *own.first()?,
+        };
+        // Pinned blocks passed over become the owner's most recent.
+        let i = own.iter().position(|k| *k == victim).expect("victim is listed");
+        let passed: Vec<Key> = own.drain(..i).collect();
+        own.remove(0);
+        own.extend(passed);
+        Some(victim)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn install(
+        &mut self,
+        key: Key,
+        owner: u32,
+        dirty: bool,
+        prefetched: bool,
+        now: SimTime,
+        pinned: &dyn Fn(&Key) -> bool,
+        writebacks: &mut Vec<ByteRange>,
+    ) {
+        while self.blocks.len() as u64 >= self.cfg.capacity_blocks() {
+            let victim = self.select_victim(pinned);
+            self.evict(victim, writebacks);
+        }
+        self.blocks.insert(key, Blk { owner, dirty, prefetched, dirty_since: now });
+        self.lru.push(key);
+        if let Some(cap) = self.cfg.per_process_cap_blocks {
+            *self.owner_counts.entry(owner).or_insert(0) += 1;
+            touch(self.per_owner.entry(owner).or_default(), key);
+            while self.owner_counts[&owner] > cap {
+                match self.select_own_victim(owner, pinned) {
+                    Some(victim) => self.evict(victim, writebacks),
+                    None => break,
+                }
+            }
+        }
+    }
+
+    fn enqueue_flush(&mut self, key: Key, now: SimTime) {
+        let ready_at = match self.cfg.write_policy {
+            WritePolicy::WriteThrough => return,
+            WritePolicy::WriteBehind => now,
+            WritePolicy::Delayed(d) => now + d,
+        };
+        self.flush_q.push_back((key, now, ready_at));
+    }
+
+    fn read(&mut self, now: SimTime, pid: u32, file_id: u32, offset: u64, length: u64) -> ReadOut {
+        let mut out = ReadOut::default();
+        self.stats.read_calls += 1;
+        self.stats.bytes_read += length;
+        if length == 0 {
+            return out;
+        }
+        let bs = self.cfg.block_size;
+        let (first, last) = self.span(offset, length);
+        let pinned = move |k: &Key| k.0 == file_id && (first..=last).contains(&k.1);
+        for b in first..=last {
+            let key = (file_id, b);
+            self.stats.accessed_blocks += 1;
+            if let Some(blk) = self.blocks.get_mut(&key) {
+                self.stats.hit_blocks += 1;
+                out.hit_blocks += 1;
+                if blk.prefetched {
+                    blk.prefetched = false;
+                    self.stats.readahead_hit_blocks += 1;
+                    out.readahead_hit_blocks += 1;
+                }
+                self.hit(key);
+            } else {
+                self.stats.miss_blocks += 1;
+                out.miss_blocks += 1;
+                push_block(&mut out.fetches, file_id, b, bs);
+                self.install(key, pid, false, false, now, &pinned, &mut out.writebacks);
+            }
+        }
+        self.stats.device_bytes_read += out.fetches.iter().map(|r| r.length).sum::<u64>();
+        if self.cfg.read_ahead && self.seq.get(&(pid, file_id)) == Some(&offset) {
+            let (pf_first, pf_last) = self.span(offset + length, length);
+            for b in pf_first..=pf_last {
+                let key = (file_id, b);
+                if !self.blocks.contains_key(&key) {
+                    push_block(&mut out.prefetch, file_id, b, bs);
+                    self.install(key, pid, false, true, now, &pinned, &mut out.writebacks);
+                    self.stats.prefetched_blocks += 1;
+                }
+            }
+            self.stats.device_bytes_read += out.prefetch.iter().map(|r| r.length).sum::<u64>();
+        }
+        self.seq.insert((pid, file_id), offset + length);
+        out
+    }
+
+    fn write(
+        &mut self,
+        now: SimTime,
+        pid: u32,
+        file_id: u32,
+        offset: u64,
+        length: u64,
+    ) -> WriteOut {
+        let mut out = WriteOut::default();
+        self.stats.write_calls += 1;
+        self.stats.bytes_written += length;
+        if length == 0 {
+            return out;
+        }
+        let bs = self.cfg.block_size;
+        let (first, last) = self.span(offset, length);
+        let pinned = move |k: &Key| k.0 == file_id && (first..=last).contains(&k.1);
+        let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
+        for b in first..=last {
+            let key = (file_id, b);
+            self.stats.accessed_blocks += 1;
+            if let Some(blk) = self.blocks.get_mut(&key) {
+                self.stats.hit_blocks += 1;
+                blk.prefetched = false;
+                if !write_through && !blk.dirty {
+                    blk.dirty = true;
+                    blk.dirty_since = now;
+                    out.dirtied_blocks += 1;
+                    self.enqueue_flush(key, now);
+                }
+                self.hit(key);
+            } else {
+                self.stats.miss_blocks += 1;
+                self.install(key, pid, !write_through, false, now, &pinned, &mut out.writebacks);
+                if !write_through {
+                    out.dirtied_blocks += 1;
+                    self.enqueue_flush(key, now);
+                }
+            }
+        }
+        if write_through {
+            let range = ByteRange { file_id, offset: first * bs, length: (last + 1 - first) * bs };
+            self.stats.device_bytes_written += range.length;
+            out.write_through.push(range);
+        }
+        self.seq.insert((pid, file_id), offset + length);
+        out
+    }
+
+    fn take_flush_batch(&mut self, now: SimTime, max_bytes: u64) -> Vec<ByteRange> {
+        let bs = self.cfg.block_size;
+        let mut budget = max_bytes;
+        let mut keys = Vec::new();
+        while budget >= bs {
+            match self.flush_q.front() {
+                Some(&(_, _, ready_at)) if ready_at <= now => {}
+                _ => break,
+            }
+            let (key, dirty_since, _) = self.flush_q.pop_front().expect("front observed");
+            if let Some(blk) = self.blocks.get_mut(&key) {
+                if blk.dirty && blk.dirty_since == dirty_since {
+                    blk.dirty = false;
+                    keys.push(key);
+                    budget -= bs;
+                }
+            }
+        }
+        let ranges = coalesce(keys, bs);
+        self.stats.device_bytes_written += ranges.iter().map(|r| r.length).sum::<u64>();
+        ranges
+    }
+
+    fn flush_all(&mut self) -> Vec<ByteRange> {
+        let mut keys = Vec::new();
+        for (k, blk) in self.blocks.iter_mut() {
+            if blk.dirty {
+                blk.dirty = false;
+                keys.push(*k);
+            }
+        }
+        self.flush_q.clear();
+        let ranges = coalesce(keys, self.cfg.block_size);
+        self.stats.device_bytes_written += ranges.iter().map(|r| r.length).sum::<u64>();
+        ranges
+    }
+
+    fn dirty_bytes(&self) -> u64 {
+        self.blocks.values().filter(|b| b.dirty).count() as u64 * self.cfg.block_size
+    }
+
+    fn next_flush_ready(&self) -> Option<SimTime> {
+        self.flush_q.front().map(|&(_, _, r)| r)
+    }
+}
+
+/// One operation, with positions in blocks so a case works at either
+/// block size.
+#[derive(Debug, Clone)]
+enum Op {
+    Read(Access),
+    Write(Access),
+    /// Flush with a budget of `half_blocks` half blocks: from under one
+    /// block to a few runs' worth.
+    Flush { half_blocks: u64 },
+    /// Let simulated time pass (delayed writes age).
+    Wait { ms: u64 },
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    pid: u32,
+    file: u32,
+    /// First block touched.
+    block: u64,
+    /// Blocks spanned.
+    blocks: u64,
+    /// 1–3: start `skew` quarter blocks in and end `skew` bytes short of
+    /// the last block's end; otherwise block aligned.
+    skew: u64,
+}
+
+impl Access {
+    fn bytes(&self, bs: u64) -> (u64, u64) {
+        match self.skew {
+            s @ 1..=3 => (self.block * bs + s * bs / 4, self.blocks * bs - s * bs / 4 - s),
+            _ => (self.block * bs, self.blocks * bs),
+        }
+    }
+}
+
+/// Requests of up to 24 blocks over a 32-block window of two files, so
+/// requests larger than the smallest caches, re-reads of resident runs
+/// and sequential continuations all come up often.
+fn arb_access() -> impl Strategy<Value = Access> {
+    (1u32..4, 1u32..3, 0u64..32, 1u64..24, 0u64..6)
+        .prop_map(|(pid, file, block, blocks, skew)| Access { pid, file, block, blocks, skew })
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_access().prop_map(Op::Read),
+        arb_access().prop_map(Op::Read),
+        arb_access().prop_map(Op::Read),
+        arb_access().prop_map(Op::Write),
+        arb_access().prop_map(Op::Write),
+        (0u64..12).prop_map(|half_blocks| Op::Flush { half_blocks }),
+        (1u64..200).prop_map(|ms| Op::Wait { ms }),
+    ]
+}
+
+fn arb_config() -> impl Strategy<Value = CacheConfig> {
+    (
+        // Caches of one to four blocks, and a few larger ones.
+        prop_oneof![1u64..5, Just(8u64), Just(24u64)],
+        prop::sample::select(vec![4u64 * KB, 8 * KB]),
+        any::<bool>(),
+        0u8..4,
+        prop::option::of(1u64..6),
+    )
+        .prop_map(|(blocks, block_size, read_ahead, wp, cap)| CacheConfig {
+            capacity: blocks * block_size,
+            block_size,
+            read_ahead,
+            write_policy: match wp {
+                0 => WritePolicy::WriteThrough,
+                1 => WritePolicy::WriteBehind,
+                2 => WritePolicy::Delayed(SimDuration::from_millis(150)),
+                _ => WritePolicy::sprite(),
+            },
+            per_process_cap_blocks: cap,
+        })
+}
+
+fn real_read(c: &mut BlockCache, now: SimTime, a: Access) -> ReadOut {
+    let (offset, len) = a.bytes(c.config().block_size);
+    let o = c.read(now, a.pid, a.file, offset, len);
+    ReadOut {
+        hit_blocks: o.hit_blocks,
+        readahead_hit_blocks: o.readahead_hit_blocks,
+        miss_blocks: o.miss_blocks,
+        fetches: o.fetches,
+        prefetch: o.prefetch,
+        writebacks: o.writebacks,
+    }
+}
+
+fn real_write(c: &mut BlockCache, now: SimTime, a: Access) -> WriteOut {
+    let (offset, len) = a.bytes(c.config().block_size);
+    let o = c.write(now, a.pid, a.file, offset, len);
+    WriteOut {
+        write_through: o.write_through,
+        writebacks: o.writebacks,
+        dirtied_blocks: o.dirtied_blocks,
+    }
+}
+
+fn assert_same_state(real: &BlockCache, model: &Model, step: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(real.stats(), &model.stats, "stats differ after step {}", step);
+    let order: Vec<Key> = real.lru_keys().collect();
+    prop_assert_eq!(&order, &model.lru, "recency order differs after step {}", step);
+    prop_assert_eq!(real.resident_blocks(), model.blocks.len() as u64);
+    prop_assert_eq!(real.dirty_bytes(), model.dirty_bytes(), "dirty bytes after step {}", step);
+    prop_assert_eq!(real.next_flush_ready(), model.next_flush_ready());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    fn run_granular_cache_matches_the_per_block_model(
+        config in arb_config(),
+        ops in proptest::collection::vec(arb_op(), 1..120),
+    ) {
+        let bs = config.block_size;
+        let mut real = BlockCache::new(config.clone());
+        let mut model = Model::new(config);
+        let mut now = SimTime::ZERO;
+        for (step, op) in ops.iter().enumerate() {
+            now += SimDuration::from_millis(20);
+            match *op {
+                Op::Read(a) => {
+                    let (offset, len) = a.bytes(bs);
+                    let r = real_read(&mut real, now, a);
+                    let m = model.read(now, a.pid, a.file, offset, len);
+                    prop_assert_eq!(r, m, "read outcome at step {}", step);
+                }
+                Op::Write(a) => {
+                    let (offset, len) = a.bytes(bs);
+                    let r = real_write(&mut real, now, a);
+                    let m = model.write(now, a.pid, a.file, offset, len);
+                    prop_assert_eq!(r, m, "write outcome at step {}", step);
+                }
+                Op::Flush { half_blocks } => {
+                    let budget = half_blocks * bs / 2;
+                    prop_assert_eq!(
+                        real.has_flushable(now),
+                        model.next_flush_ready().is_some_and(|r| r <= now)
+                    );
+                    let r = real.take_flush_batch(now, budget);
+                    let m = model.take_flush_batch(now, budget);
+                    prop_assert_eq!(r, m, "flush batch at step {}", step);
+                }
+                Op::Wait { ms } => now += SimDuration::from_millis(ms),
+            }
+            assert_same_state(&real, &model, step)?;
+        }
+        prop_assert_eq!(real.flush_all(), model.flush_all());
+        assert_same_state(&real, &model, ops.len())?;
+        prop_assert_eq!(real.dirty_bytes(), 0);
+    }
+}

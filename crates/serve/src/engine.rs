@@ -42,7 +42,7 @@
 //! proptest suite and the CI socket guard pin.
 
 use crate::canon::canonical_hash;
-use crate::protocol::RequestBody;
+use crate::protocol::{CampaignPointSpec, Fig8PointSpec, RequestBody};
 use buffer_cache::lru::LruIndex;
 use buffer_cache::WritePolicy;
 use experiments::figures::two_venus_report;
@@ -675,22 +675,44 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// A fig8 point's cache capacity in bytes; `None` when `cache_mb` MB
+/// does not fit in a `u64`.
+fn fig8_capacity(s: &Fig8PointSpec) -> Option<u64> {
+    s.cache_mb.checked_mul(MB)
+}
+
+/// A campaign's total process count; `None` on overflow.
+fn campaign_procs(c: &CampaignPointSpec) -> Option<usize> {
+    c.groups.checked_mul(c.procs)
+}
+
 /// DRR cost: the rough simulated size of a request, in figure-point
 /// units.
 fn cost_of(body: &RequestBody) -> u64 {
     match body {
         RequestBody::Fig8Point(_) => 1,
-        RequestBody::Campaign(c) => ((c.groups * c.procs) as u64 / 64).max(1),
+        RequestBody::Campaign(c) => {
+            (campaign_procs(c).map_or(u64::MAX, |n| n as u64) / 64).max(1)
+        }
         RequestBody::Stats | RequestBody::Metrics | RequestBody::Shutdown => 1,
     }
 }
 
+/// Reject a body that would panic the worker running it: the cache
+/// geometry and campaign size must be representable and valid.
 fn validate(body: &RequestBody) -> Result<(), SubmitError> {
     let bad = |msg: &str| Err(SubmitError::Invalid(msg.into()));
     match body {
         RequestBody::Fig8Point(s) => {
             if s.cache_mb == 0 || s.block == 0 {
                 return bad("fig8 point sizes must be positive");
+            }
+            match fig8_capacity(s) {
+                None => return bad("cache_mb is too large"),
+                Some(capacity) if capacity < s.block => {
+                    return bad("the cache must hold at least one block")
+                }
+                Some(_) => {}
             }
             if s.scale == 0 {
                 return bad("scale must be >= 1");
@@ -700,6 +722,9 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
         RequestBody::Campaign(c) => {
             if c.groups == 0 || c.procs == 0 {
                 return bad("campaign counts must be positive");
+            }
+            if campaign_procs(c).is_none() {
+                return bad("groups * procs is too large");
             }
             if c.scale == 0 {
                 return bad("scale must be >= 1");
@@ -716,12 +741,15 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
 /// This is the same code path `mio sim` uses, against the engine's warm
 /// store — which is exactly why responses are byte-identical to
 /// one-shot runs. Served runs never sample a gauge timeline.
+///
+/// Panics on a body [`Engine::submit`] rejects as invalid; the engine
+/// only ever runs validated bodies.
 pub fn execute(store: &TraceStore, body: &RequestBody) -> Value {
     match body {
         RequestBody::Fig8Point(s) => two_venus_report(
             store,
             None,
-            s.cache_mb * MB,
+            fig8_capacity(s).expect("cache_mb * MB overflows u64"),
             s.block,
             true,
             WritePolicy::WriteBehind,
@@ -836,6 +864,44 @@ mod tests {
         let zero_campaign = RequestBody::Campaign(CampaignPointSpec::datacenter(0, 4, 1));
         assert!(matches!(engine.submit("a", &zero_campaign), Err(SubmitError::Invalid(_))));
         assert!(matches!(engine.submit("a", &RequestBody::Stats), Err(SubmitError::Invalid(_))));
+    }
+
+    #[test]
+    fn oversized_requests_are_rejected_and_the_engine_keeps_serving() {
+        let engine = quick_engine(1, 4);
+        let fig8 = |cache_mb, block| {
+            RequestBody::Fig8Point(Fig8PointSpec { cache_mb, block, scale: 64, seed: 42 })
+        };
+        let mut huge_campaign = CampaignPointSpec::datacenter(usize::MAX, 2, 1);
+        huge_campaign.scale = 64;
+        for bad in [
+            fig8(u64::MAX, 4096),         // cache_mb * MB overflows
+            fig8(u64::MAX / MB + 1, 4096), // the first size that does
+            fig8(1, 2 * MB),               // smaller than one block
+            RequestBody::Campaign(huge_campaign),
+        ] {
+            // The server answers every `Err` with an `error` line.
+            match engine.submit("a", &bad) {
+                Err(SubmitError::Invalid(_)) => {}
+                other => panic!("{bad:?} must be rejected as invalid, got {other:?}"),
+            }
+        }
+        // The largest representable cache is still a valid request.
+        assert!(validate(&fig8(u64::MAX / MB, 4096)).is_ok());
+        // The worker is alive and answers a valid point exactly like a
+        // one-shot run.
+        let good = fig8(8, 4096);
+        let served = engine
+            .submit("a", &good)
+            .expect("admitted")
+            .wait_timeout(Duration::from_secs(120))
+            .expect("answered")
+            .expect("computed");
+        let fresh = execute(&TraceStore::new(), &good);
+        assert_eq!(
+            serde_json::to_string(served.as_ref()).expect("print"),
+            serde_json::to_string(&fresh).expect("print")
+        );
     }
 
     #[test]
