@@ -8,8 +8,20 @@
 //! of blocks, so driving both with the same operations and comparing
 //! after every step checks that the batching is invisible: the same
 //! outcomes, statistics, resident set, eviction order and dirty bytes.
+//!
+//! The model also counts page-index probes the way a per-block cache
+//! does, so the real cache's `obs` probe counters, which every report
+//! serializes, are checked block for block: a slab of 64-block pages
+//! with a LIFO free list and a map from page key to slab slot, a page
+//! retired when its last block leaves, and a caller-carried page hint
+//! that answers a probe without the map when it names a live page with
+//! the probed key. Each `read` (demand and read-ahead loops together),
+//! `write` and flush batch carries one hint from a cold start; victim
+//! removals share one hint for the cache's lifetime; an ownership-cap
+//! victim is always looked up through the map.
 
 use buffer_cache::{BlockCache, ByteRange, CacheConfig, CacheStats, WritePolicy};
+use obs::CacheCounters;
 use proptest::prelude::*;
 use sim_core::units::KB;
 use sim_core::{SimDuration, SimTime};
@@ -25,6 +37,88 @@ struct Blk {
     dirty_since: SimTime,
 }
 
+type PageKey = (u32, u64);
+
+/// Blocks per index page.
+const PAGE_BLOCKS: u64 = 64;
+
+/// Hint value naming no page.
+const NO_HINT: usize = usize::MAX;
+
+/// The page index's probe accounting, one probe per block lookup.
+#[derive(Default)]
+struct Pages {
+    map: HashMap<PageKey, usize>,
+    /// Slab of `(page key, live blocks)`; live 0 means retired.
+    slab: Vec<(PageKey, u64)>,
+    /// Retired slab slots, reused last in, first out.
+    free: Vec<usize>,
+    hinted: u64,
+    unhinted: u64,
+}
+
+fn page_of(key: Key) -> PageKey {
+    (key.0, key.1 / PAGE_BLOCKS)
+}
+
+impl Pages {
+    /// One probe for `pk`: answered by `hint` when it names the live page
+    /// with that key, otherwise by the map, which re-aims the hint.
+    fn probe(&mut self, pk: PageKey, hint: &mut usize) -> Option<usize> {
+        if let Some(&(k, live)) = self.slab.get(*hint) {
+            if k == pk && live > 0 {
+                self.hinted += 1;
+                return Some(*hint);
+            }
+        }
+        self.unhinted += 1;
+        let slot = *self.map.get(&pk)?;
+        *hint = slot;
+        Some(slot)
+    }
+
+    /// Probe for a block's page (a lookup; its outcome lives in `blocks`).
+    fn get(&mut self, key: Key, hint: &mut usize) {
+        self.probe(page_of(key), hint);
+    }
+
+    /// Probe for an installed block's page, creating the page when absent.
+    fn insert(&mut self, key: Key, hint: &mut usize) {
+        let pk = page_of(key);
+        let slot = match self.probe(pk, hint) {
+            Some(slot) => slot,
+            None => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot].0 = pk;
+                        slot
+                    }
+                    None => {
+                        self.slab.push((pk, 0));
+                        self.slab.len() - 1
+                    }
+                };
+                self.map.insert(pk, slot);
+                *hint = slot;
+                slot
+            }
+        };
+        self.slab[slot].1 += 1;
+    }
+
+    /// Probe for an evicted block's page and drop the block, retiring the
+    /// page when it empties.
+    fn remove(&mut self, key: Key, hint: &mut usize) {
+        let pk = page_of(key);
+        let slot = self.probe(pk, hint).expect("evicted block's page is live");
+        self.slab[slot].1 -= 1;
+        if self.slab[slot].1 == 0 {
+            self.map.remove(&pk);
+            self.free.push(slot);
+        }
+    }
+}
+
 /// The reference: the cache's documented behavior, one block at a time.
 struct Model {
     cfg: CacheConfig,
@@ -38,6 +132,10 @@ struct Model {
     owner_counts: HashMap<u32, u64>,
     seq: HashMap<(u32, u32), u64>,
     stats: CacheStats,
+    pages: Pages,
+    /// The victim-removal hint, kept for the cache's lifetime.
+    evict_hint: usize,
+    flush_batches: u64,
 }
 
 #[derive(Debug, Default, PartialEq)]
@@ -95,6 +193,21 @@ impl Model {
             owner_counts: HashMap::new(),
             seq: HashMap::new(),
             stats: CacheStats::default(),
+            pages: Pages::default(),
+            evict_hint: NO_HINT,
+            flush_batches: 0,
+        }
+    }
+
+    fn obs_counters(&self) -> CacheCounters {
+        CacheCounters {
+            hit_blocks: self.stats.hit_blocks,
+            miss_blocks: self.stats.miss_blocks,
+            clean_evictions: self.stats.clean_evictions,
+            dirty_evictions: self.stats.dirty_evictions,
+            hinted_index_probes: self.pages.hinted,
+            unhinted_index_probes: self.pages.unhinted,
+            flush_batches: self.flush_batches,
         }
     }
 
@@ -117,6 +230,7 @@ impl Model {
 
     fn evict(&mut self, key: Key, writebacks: &mut Vec<ByteRange>) {
         let blk = self.blocks.remove(&key).expect("victim is resident");
+        self.pages.remove(key, &mut self.evict_hint);
         self.lru.retain(|k| *k != key);
         if self.capped() {
             if let Some(own) = self.per_owner.get_mut(&blk.owner) {
@@ -174,11 +288,13 @@ impl Model {
         now: SimTime,
         pinned: &dyn Fn(&Key) -> bool,
         writebacks: &mut Vec<ByteRange>,
+        hint: &mut usize,
     ) {
         while self.blocks.len() as u64 >= self.cfg.capacity_blocks() {
             let victim = self.select_victim(pinned);
             self.evict(victim, writebacks);
         }
+        self.pages.insert(key, hint);
         self.blocks.insert(key, Blk { owner, dirty, prefetched, dirty_since: now });
         self.lru.push(key);
         if let Some(cap) = self.cfg.per_process_cap_blocks {
@@ -186,7 +302,12 @@ impl Model {
             touch(self.per_owner.entry(owner).or_default(), key);
             while self.owner_counts[&owner] > cap {
                 match self.select_own_victim(owner, pinned) {
-                    Some(victim) => self.evict(victim, writebacks),
+                    Some(victim) => {
+                        // Found through the map, with no hint.
+                        let mut no_hint = NO_HINT;
+                        self.pages.get(victim, &mut no_hint);
+                        self.evict(victim, writebacks);
+                    }
                     None => break,
                 }
             }
@@ -212,9 +333,11 @@ impl Model {
         let bs = self.cfg.block_size;
         let (first, last) = self.span(offset, length);
         let pinned = move |k: &Key| k.0 == file_id && (first..=last).contains(&k.1);
+        let mut hint = NO_HINT;
         for b in first..=last {
             let key = (file_id, b);
             self.stats.accessed_blocks += 1;
+            self.pages.get(key, &mut hint);
             if let Some(blk) = self.blocks.get_mut(&key) {
                 self.stats.hit_blocks += 1;
                 out.hit_blocks += 1;
@@ -228,7 +351,7 @@ impl Model {
                 self.stats.miss_blocks += 1;
                 out.miss_blocks += 1;
                 push_block(&mut out.fetches, file_id, b, bs);
-                self.install(key, pid, false, false, now, &pinned, &mut out.writebacks);
+                self.install(key, pid, false, false, now, &pinned, &mut out.writebacks, &mut hint);
             }
         }
         self.stats.device_bytes_read += out.fetches.iter().map(|r| r.length).sum::<u64>();
@@ -236,9 +359,10 @@ impl Model {
             let (pf_first, pf_last) = self.span(offset + length, length);
             for b in pf_first..=pf_last {
                 let key = (file_id, b);
+                self.pages.get(key, &mut hint);
                 if !self.blocks.contains_key(&key) {
                     push_block(&mut out.prefetch, file_id, b, bs);
-                    self.install(key, pid, false, true, now, &pinned, &mut out.writebacks);
+                    self.install(key, pid, false, true, now, &pinned, &mut out.writebacks, &mut hint);
                     self.stats.prefetched_blocks += 1;
                 }
             }
@@ -266,9 +390,11 @@ impl Model {
         let (first, last) = self.span(offset, length);
         let pinned = move |k: &Key| k.0 == file_id && (first..=last).contains(&k.1);
         let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
+        let mut hint = NO_HINT;
         for b in first..=last {
             let key = (file_id, b);
             self.stats.accessed_blocks += 1;
+            self.pages.get(key, &mut hint);
             if let Some(blk) = self.blocks.get_mut(&key) {
                 self.stats.hit_blocks += 1;
                 blk.prefetched = false;
@@ -281,7 +407,8 @@ impl Model {
                 self.hit(key);
             } else {
                 self.stats.miss_blocks += 1;
-                self.install(key, pid, !write_through, false, now, &pinned, &mut out.writebacks);
+                let dirty = !write_through;
+                self.install(key, pid, dirty, false, now, &pinned, &mut out.writebacks, &mut hint);
                 if !write_through {
                     out.dirtied_blocks += 1;
                     self.enqueue_flush(key, now);
@@ -301,12 +428,14 @@ impl Model {
         let bs = self.cfg.block_size;
         let mut budget = max_bytes;
         let mut keys = Vec::new();
+        let mut hint = NO_HINT;
         while budget >= bs {
             match self.flush_q.front() {
                 Some(&(_, _, ready_at)) if ready_at <= now => {}
                 _ => break,
             }
             let (key, dirty_since, _) = self.flush_q.pop_front().expect("front observed");
+            self.pages.get(key, &mut hint);
             if let Some(blk) = self.blocks.get_mut(&key) {
                 if blk.dirty && blk.dirty_since == dirty_since {
                     blk.dirty = false;
@@ -317,6 +446,9 @@ impl Model {
         }
         let ranges = coalesce(keys, bs);
         self.stats.device_bytes_written += ranges.iter().map(|r| r.length).sum::<u64>();
+        if !ranges.is_empty() {
+            self.flush_batches += 1;
+        }
         ranges
     }
 
@@ -380,10 +512,26 @@ impl Access {
 
 /// Requests of up to 24 blocks over a 32-block window of two files, so
 /// requests larger than the smallest caches, re-reads of resident runs
-/// and sequential continuations all come up often.
+/// and sequential continuations all come up often. Half the windows
+/// start 12 blocks short of the first 64-block index page's end, so
+/// requests and read-ahead cross pages; an occasional request spans
+/// 56–140 blocks, whole pages included.
 fn arb_access() -> impl Strategy<Value = Access> {
-    (1u32..4, 1u32..3, 0u64..32, 1u64..24, 0u64..6)
-        .prop_map(|(pid, file, block, blocks, skew)| Access { pid, file, block, blocks, skew })
+    (
+        1u32..4,
+        1u32..3,
+        prop::sample::select(vec![0u64, PAGE_BLOCKS - 12]),
+        0u64..32,
+        prop_oneof![1u64..24, 1u64..24, 1u64..24, 56u64..140],
+        0u64..6,
+    )
+        .prop_map(|(pid, file, window, block, blocks, skew)| Access {
+            pid,
+            file,
+            block: window + block,
+            blocks,
+            skew,
+        })
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -401,7 +549,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn arb_config() -> impl Strategy<Value = CacheConfig> {
     (
         // Caches of one to four blocks, and a few larger ones.
-        prop_oneof![1u64..5, Just(8u64), Just(24u64)],
+        prop_oneof![1u64..5, Just(8u64), Just(24u64), Just(96u64)],
         prop::sample::select(vec![4u64 * KB, 8 * KB]),
         any::<bool>(),
         0u8..4,
@@ -451,6 +599,7 @@ fn assert_same_state(real: &BlockCache, model: &Model, step: usize) -> Result<()
     prop_assert_eq!(real.resident_blocks(), model.blocks.len() as u64);
     prop_assert_eq!(real.dirty_bytes(), model.dirty_bytes(), "dirty bytes after step {}", step);
     prop_assert_eq!(real.next_flush_ready(), model.next_flush_ready());
+    prop_assert_eq!(real.obs_counters(), model.obs_counters(), "obs counters after step {}", step);
     Ok(())
 }
 
