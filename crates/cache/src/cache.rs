@@ -109,16 +109,13 @@ type Key = (u32, u64); // (file_id, block number)
 const NIL: u32 = u32::MAX;
 
 /// One resident cache block: entry state and the intrusive global-LRU
-/// links live in a single slab cell, so the per-block hot path pays one
-/// hash probe plus one slab access instead of separate map probes for
-/// the entry table and the recency index.
+/// links live in a single slab cell. Whether the block is untouched
+/// read-ahead data lives in its page's `prefetched` bitmap.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     key: Key,
     owner: u32,
     dirty: bool,
-    /// Installed by read-ahead and not yet referenced by a demand access.
-    prefetched: bool,
     /// When the oldest unwritten data in this block was dirtied.
     dirty_since: SimTime,
     /// Toward the LRU end of the recency list.
@@ -128,40 +125,53 @@ struct Frame {
 }
 
 const PAGE_SHIFT: u64 = 6;
-const PAGE_BLOCKS: usize = 1 << PAGE_SHIFT;
+const PAGE_BLOCKS: u64 = 1 << PAGE_SHIFT;
+const PAGE_MASK: u64 = PAGE_BLOCKS - 1;
 
-/// Sentinel page slot meaning "no hint".
+/// Sentinel page slot meaning "no page" (and, as a hint, "no hint").
 const NO_PAGE: u32 = u32::MAX;
+
+/// Bits `i..i + k` of a page bitmap (`1 <= k`, `i + k <= 64`).
+#[inline]
+fn run_mask(i: u64, k: u64) -> u64 {
+    (u64::MAX >> (PAGE_BLOCKS - k)) << i
+}
 
 #[derive(Debug)]
 struct Page {
     /// Owning page key; hinted lookups check it to self-validate.
     pk: (u32, u64),
-    /// Number of non-NIL slots; 0 means the page is retired (on the
-    /// free list).
-    live: u32,
-    /// Frame slot per block within the page, NIL when absent.
-    slots: [u32; PAGE_BLOCKS],
+    /// Bit `i` set when block `i` of the page is resident. Zero means
+    /// the page is retired (on the free list).
+    resident: u64,
+    /// Bit `i` set when resident block `i` is read-ahead data no demand
+    /// access has touched yet.
+    prefetched: u64,
+    /// Frame slot per block; meaningful only where `resident` is set.
+    slots: [u32; PAGE_BLOCKS as usize],
 }
 
 /// Sparse paged index from block key to frame slot.
 ///
-/// Requests touch contiguous block runs, so resolving a block through a
-/// small per-page map plus a direct array index is far cheaper than a
-/// full-width hash probe per block into a map with one entry per
-/// resident block: the probed map is ~64× smaller and neighboring
-/// blocks land in the same page. Pages live inline in a slab and the map
-/// stores only slab slots, so page churn (streams retiring one page per
-/// 64 blocks while opening the next) recycles slab entries through a
-/// free list and never moves page data or allocates.
+/// Requests touch contiguous block runs, so a request resolves each
+/// 64-block page it touches once, through a small map from page key to
+/// slab slot, and then finds its resident and missing runs in the page's
+/// `resident` bitmap with `trailing_zeros` instead of block-by-block
+/// lookups. Pages live inline in a slab and the map stores only slab
+/// slots, so page churn (streams retiring one page per 64 blocks while
+/// opening the next) recycles slab entries through a LIFO free list and
+/// never moves page data or allocates.
 ///
-/// Every operation takes a caller-owned *hint*: a page slot remembered
-/// from an earlier resolution. A hint self-validates against the slab
-/// (`pk` match on a live page), so a run of blocks through one page pays
-/// a single hash probe and per-block array indexing from then on, and a
-/// stale hint — the page was retired or its slab slot reused — costs
-/// one compare and falls back to the map. Callers with no locality pass
-/// a throwaway hint.
+/// Every page resolution takes a caller-owned *hint*: a page slot
+/// remembered from an earlier resolution. A hint self-validates against
+/// the slab (`pk` match on a live page), so a stale hint — the page was
+/// retired or its slab slot reused — costs one compare and falls back to
+/// the map.
+///
+/// The probe counters report what a block-at-a-time lookup through the
+/// same hints would count, derived per page segment: a request that
+/// resolves a page once and then covers `k` of its blocks adds the one
+/// resolution plus `k - 1` hinted probes. Every report serializes them.
 #[derive(Debug, Default)]
 struct PagedIndex {
     map: FxHashMap<(u32, u64), u32>,
@@ -179,100 +189,140 @@ struct PagedIndex {
 
 impl PagedIndex {
     #[inline]
-    fn split(key: &Key) -> ((u32, u64), usize) {
-        ((key.0, key.1 >> PAGE_SHIFT), (key.1 & (PAGE_BLOCKS as u64 - 1)) as usize)
+    fn split(key: &Key) -> ((u32, u64), u64) {
+        ((key.0, key.1 >> PAGE_SHIFT), key.1 & PAGE_MASK)
     }
 
-    /// Resolve `pk` to its slab slot, consulting `hint` first.
+    /// Resolve `pk` to its slab slot, consulting `hint` first: one probe.
     #[inline]
     fn find_page(&self, pk: (u32, u64), hint: &mut u32) -> Option<u32> {
         if let Some(p) = self.pages.get(*hint as usize) {
-            if p.pk == pk && p.live > 0 {
-                self.probes_hinted.set(self.probes_hinted.get() + 1);
+            if p.pk == pk && p.resident != 0 {
+                self.count_hinted(1);
                 return Some(*hint);
             }
         }
-        self.probes_unhinted.set(self.probes_unhinted.get() + 1);
-        match self.map.get(&pk) {
-            Some(&s) => {
-                *hint = s;
-                Some(s)
-            }
-            None => None,
+        self.count_unhinted(1);
+        let s = *self.map.get(&pk)?;
+        *hint = s;
+        Some(s)
+    }
+
+    /// Record `n` probes the caller's hint answers without a lookup.
+    #[inline]
+    fn count_hinted(&self, n: u64) {
+        self.probes_hinted.set(self.probes_hinted.get() + n);
+    }
+
+    /// Record `n` probes that fall through to the map.
+    #[inline]
+    fn count_unhinted(&self, n: u64) {
+        self.probes_unhinted.set(self.probes_unhinted.get() + n);
+    }
+
+    /// Open the page segment of a request that starts at block `b` and
+    /// ends at `last`: resolve the page with the lookup of block `b`.
+    /// Returns the page slot (or `NO_PAGE`) and the segment's last block.
+    #[inline]
+    fn open_segment(&self, file_id: u32, b: u64, last: u64, hint: &mut u32) -> (u32, u64) {
+        let seg_last = last.min(b | PAGE_MASK);
+        (self.lookup(file_id, b, hint), seg_last)
+    }
+
+    /// The lookup of block `b` of `file_id`, resolving its page: one
+    /// probe. Returns the page slot, or `NO_PAGE`.
+    #[inline]
+    fn lookup(&self, file_id: u32, b: u64, hint: &mut u32) -> u32 {
+        self.find_page((file_id, b >> PAGE_SHIFT), hint).unwrap_or(NO_PAGE)
+    }
+
+    /// The run that starts at block `b` of `page` and ends by `seg_last`:
+    /// whether its blocks are resident, and how many there are.
+    #[inline]
+    fn run_at(&self, page: u32, b: u64, seg_last: u64) -> (bool, u64) {
+        let bits = match page {
+            NO_PAGE => 0,
+            p => self.pages[p as usize].resident >> (b & PAGE_MASK),
+        };
+        let left = seg_last - b + 1;
+        if bits & 1 == 1 {
+            (true, u64::from((!bits).trailing_zeros()).min(left))
+        } else {
+            (false, u64::from(bits.trailing_zeros()).min(left))
         }
     }
 
-    #[inline]
-    fn get_hinted(&self, key: &Key, hint: &mut u32) -> Option<u32> {
-        let (pk, i) = Self::split(key);
-        let p = self.find_page(pk, hint)?;
-        match self.pages[p as usize].slots[i] {
-            NIL => None,
-            s => Some(s),
+    /// The page that blocks about to be installed go into: one probe,
+    /// creating the page (from the top of the free list) when absent.
+    fn page_for_insert(&mut self, pk: (u32, u64), hint: &mut u32) -> u32 {
+        if let Some(p) = self.find_page(pk, hint) {
+            return p;
         }
-    }
-
-    #[inline]
-    fn get(&self, key: &Key) -> Option<u32> {
-        let mut hint = NO_PAGE;
-        self.get_hinted(key, &mut hint)
-    }
-
-    #[inline]
-    fn contains_key(&self, key: &Key) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Insert a key known to be absent (blocks are installed only on
-    /// miss).
-    fn insert_hinted(&mut self, key: Key, slot: u32, hint: &mut u32) {
-        let (pk, i) = Self::split(&key);
-        let p = match self.find_page(pk, hint) {
-            Some(p) => p,
-            None => {
-                let p = match self.free_pages.pop() {
-                    Some(p) => {
-                        let pg = &mut self.pages[p as usize];
-                        debug_assert_eq!(pg.live, 0, "free page must be empty");
-                        pg.pk = pk;
-                        p
-                    }
-                    None => {
-                        self.pages.push(Page { pk, live: 0, slots: [NIL; PAGE_BLOCKS] });
-                        (self.pages.len() - 1) as u32
-                    }
-                };
-                self.map.insert(pk, p);
-                *hint = p;
+        let p = match self.free_pages.pop() {
+            Some(p) => {
+                let pg = &mut self.pages[p as usize];
+                debug_assert_eq!(pg.resident, 0, "free page must be empty");
+                pg.pk = pk;
                 p
             }
+            None => {
+                self.pages.push(Page {
+                    pk,
+                    resident: 0,
+                    prefetched: 0,
+                    slots: [NIL; PAGE_BLOCKS as usize],
+                });
+                (self.pages.len() - 1) as u32
+            }
         };
-        let pg = &mut self.pages[p as usize];
-        debug_assert_eq!(pg.slots[i], NIL, "install over a resident block");
-        pg.slots[i] = slot;
-        pg.live += 1;
-        self.len += 1;
+        self.map.insert(pk, p);
+        *hint = p;
+        p
     }
 
-    fn remove_hinted(&mut self, key: &Key, hint: &mut u32) -> Option<u32> {
-        let (pk, i) = Self::split(key);
-        let p = self.find_page(pk, hint)?;
+    /// Mark the blocks in `mask` of page `p` resident (they were absent).
+    #[inline]
+    fn add_blocks(&mut self, p: u32, mask: u64, prefetched: bool) {
         let pg = &mut self.pages[p as usize];
-        let s = pg.slots[i];
-        if s == NIL {
-            return None;
+        debug_assert_eq!(pg.resident & mask, 0, "install over a resident block");
+        pg.resident |= mask;
+        if prefetched {
+            pg.prefetched |= mask;
         }
-        pg.slots[i] = NIL;
-        pg.live -= 1;
-        self.len -= 1;
-        if pg.live == 0 {
-            // Retire: every slot is NIL again, so the slab entry parks on
-            // the free list as-is. The map keeps its table capacity after
-            // a remove, so page churn stays allocation-free.
+        self.len += mask.count_ones() as usize;
+    }
+
+    /// Drop the resident blocks in `mask` from page `p`, retiring the
+    /// page when it empties. A retired slab entry parks on the free list
+    /// as-is; the map keeps its table capacity after a remove, so page
+    /// churn stays allocation-free.
+    #[inline]
+    fn remove_blocks(&mut self, p: u32, mask: u64) {
+        let pg = &mut self.pages[p as usize];
+        debug_assert_eq!(pg.resident & mask, mask, "removing an absent block");
+        pg.resident &= !mask;
+        pg.prefetched &= !mask;
+        self.len -= mask.count_ones() as usize;
+        if pg.resident == 0 {
+            let pk = pg.pk;
             self.map.remove(&pk);
             self.free_pages.push(p);
         }
-        Some(s)
+    }
+
+    /// The frame slot of resident `key`, looked up through the map with
+    /// no hint: one unhinted probe.
+    fn get_unhinted(&self, key: &Key) -> Option<u32> {
+        let mut no_hint = NO_PAGE;
+        let (pk, i) = Self::split(key);
+        let pg = &self.pages[self.find_page(pk, &mut no_hint)? as usize];
+        (pg.resident >> i & 1 == 1).then_some(pg.slots[i as usize])
+    }
+
+    /// Whether `key` is resident, without counting a probe.
+    fn is_resident(&self, key: &Key) -> bool {
+        let (pk, i) = Self::split(key);
+        self.map.get(&pk).is_some_and(|&p| self.pages[p as usize].resident >> i & 1 == 1)
     }
 
     #[inline]
@@ -349,7 +399,7 @@ pub struct BlockCache {
     index: PagedIndex,
     /// Slab of frames; freed slots chain on `free` via `Frame::next`.
     /// Only the ownership cap frees frames: a full cache recycles its
-    /// victim's frame in place.
+    /// victims' frames in place.
     frames: Vec<Frame>,
     /// Least recently used end of the recency list.
     head: u32,
@@ -445,9 +495,9 @@ impl BlockCache {
     }
 
     /// Whether the block containing `offset` of `file_id` is resident
-    /// (test/diagnostic helper).
+    /// (test/diagnostic helper; leaves every counter unchanged).
     pub fn contains(&self, file_id: u32, offset: u64) -> bool {
-        self.index.contains_key(&(file_id, offset / self.config.block_size))
+        self.index.is_resident(&(file_id, offset / self.config.block_size))
     }
 
     /// Resident blocks as `(file_id, block)` from least to most recently
@@ -546,6 +596,27 @@ impl BlockCache {
         }
     }
 
+    /// Record a run of `k` hits on resident blocks `b..b + k` of `file_id`
+    /// in page `p`: chain their frames toward the MRU end and refresh
+    /// their owners' recency. Their read-ahead marks are cleared; returns
+    /// how many were set.
+    fn hit_run(&mut self, p: u32, file_id: u32, b: u64, k: u64, chain: &mut HitChain) -> u64 {
+        let i = b & PAGE_MASK;
+        let mask = run_mask(i, k);
+        let pg = &mut self.index.pages[p as usize];
+        let readahead = u64::from((pg.prefetched & mask).count_ones());
+        pg.prefetched &= !mask;
+        for j in 0..k {
+            let slot = self.index.pages[p as usize].slots[(i + j) as usize];
+            self.chain_hit(chain, slot);
+            if self.track_owners {
+                let owner = self.frames[slot as usize].owner;
+                self.per_owner.entry(owner).or_default().touch((file_id, b + j));
+            }
+        }
+        readahead
+    }
+
     /// Take a slot off the free list, or grow the slab.
     fn alloc_frame(&mut self, frame: Frame) -> u32 {
         match self.free {
@@ -570,45 +641,67 @@ impl BlockCache {
         self.free = i;
     }
 
-    /// Drop the block in frame `slot` from the index and the ownership
-    /// tracking and account for its eviction; the frame stays linked and
-    /// allocated. Returns the writeback range when the victim was dirty.
-    fn evict_entry(&mut self, slot: u32) -> Option<ByteRange> {
-        let f = self.frames[slot as usize];
-        self.index.remove_hinted(&f.key, &mut self.evict_hint);
-        if self.track_owners {
-            if let Some(lru) = self.per_owner.get_mut(&f.owner) {
-                lru.remove(&f.key);
+    /// Evict `count` blocks: the frame at `first` and those linked after
+    /// it toward the MRU end, in that order. Each leaves the index and
+    /// the ownership tracking and is accounted for, a dirty one with a
+    /// writeback; consecutive victims in one page leave it with one
+    /// bitmap update. The frames stay linked and allocated.
+    fn evict_chain(&mut self, first: u32, count: u64, writebacks: &mut Vec<ByteRange>) {
+        let bs = self.config.block_size;
+        let mut slot = first;
+        let mut page = NO_PAGE;
+        let mut page_key = (0, 0);
+        let mut mask = 0u64;
+        let (mut clean, mut dirty, mut wasted) = (0, 0, 0);
+        for _ in 0..count {
+            let f = self.frames[slot as usize];
+            let (pk, i) = PagedIndex::split(&f.key);
+            if mask != 0 && pk == page_key {
+                // Same page as the previous victim: the hint answers.
+                self.index.count_hinted(1);
+            } else {
+                if mask != 0 {
+                    self.index.remove_blocks(page, mask);
+                }
+                page = self
+                    .index
+                    .find_page(pk, &mut self.evict_hint)
+                    .expect("victim must be resident");
+                page_key = pk;
+                mask = 0;
             }
-            if let Some(c) = self.owner_counts.get_mut(&f.owner) {
-                *c = c.saturating_sub(1);
+            mask |= 1 << i;
+            wasted += self.index.pages[page as usize].prefetched >> i & 1;
+            if self.track_owners {
+                if let Some(lru) = self.per_owner.get_mut(&f.owner) {
+                    lru.remove(&f.key);
+                }
+                if let Some(c) = self.owner_counts.get_mut(&f.owner) {
+                    *c = c.saturating_sub(1);
+                }
             }
+            if f.dirty {
+                dirty += 1;
+                writebacks.push(ByteRange { file_id: f.key.0, offset: f.key.1 * bs, length: bs });
+            } else {
+                clean += 1;
+            }
+            slot = f.next;
         }
-        if f.prefetched {
-            self.stats.wasted_prefetch_blocks += 1;
+        if mask != 0 {
+            self.index.remove_blocks(page, mask);
         }
-        if f.dirty {
-            self.dirty_blocks -= 1;
-            self.stats.dirty_evictions += 1;
-            let bs = self.config.block_size;
-            self.stats.device_bytes_written += bs;
-            Some(ByteRange { file_id: f.key.0, offset: f.key.1 * bs, length: bs })
-        } else {
-            self.stats.clean_evictions += 1;
-            None
-        }
+        self.stats.wasted_prefetch_blocks += wasted;
+        self.stats.clean_evictions += clean;
+        self.stats.dirty_evictions += dirty;
+        self.stats.device_bytes_written += dirty * bs;
+        self.dirty_blocks -= dirty;
     }
 
-    /// Evict the block in frame `slot` and free the frame.
-    fn finish_evict(&mut self, slot: u32) -> Option<ByteRange> {
-        let wb = self.evict_entry(slot);
-        self.unlink(slot);
-        self.free_frame(slot);
-        wb
-    }
-
-    /// The block to evict from a full, hence non-empty, cache.
-    fn select_victim(&mut self, pinned: &PinnedSpan) -> u32 {
+    /// The next victims from a full, hence non-empty, cache: the first
+    /// slot and how many frames, up to `want`, are evicted in turn from
+    /// it toward the MRU end.
+    fn select_victim(&mut self, pinned: &PinnedSpan, want: u64) -> (u32, u64) {
         // Global LRU, sparing pinned (in-flight request) blocks while any
         // alternative exists: pinned blocks found at the LRU end are
         // re-touched (they are part of the in-flight request, so making
@@ -617,11 +710,22 @@ impl BlockCache {
         // pinned — a request larger than the whole cache — the request
         // streams through by sacrificing the first pinned block popped,
         // exactly as the old pop-and-requeue loop did.
+        //
+        // A recycled victim becomes the most recent block, so the
+        // unpinned frames right after an unpinned head are the next
+        // victims in turn, as long as the walk stays among frames that
+        // were resident before this call.
         let mut first_pinned = NIL;
         for _ in 0..self.index.len() {
             let i = self.head;
             if !pinned.contains(&self.frames[i as usize].key) {
-                return i;
+                let mut k = 1;
+                let mut j = self.frames[i as usize].next;
+                while k < want && j != NIL && !pinned.contains(&self.frames[j as usize].key) {
+                    k += 1;
+                    j = self.frames[j as usize].next;
+                }
+                return (i, k);
             }
             if first_pinned == NIL {
                 first_pinned = i;
@@ -629,7 +733,7 @@ impl BlockCache {
             self.touch_slot(i);
         }
         // Cycled through the whole list: everything is pinned.
-        first_pinned
+        (first_pinned, 1)
     }
 
     /// Pick one of `owner`'s own blocks to evict (ownership-cap
@@ -660,10 +764,22 @@ impl BlockCache {
         found
     }
 
+    /// Install the absent blocks `first..first + count` of `file_id`, all
+    /// in one page, as most recently used, in block order.
+    ///
+    /// Each step installs as many blocks as it can with one page update:
+    /// into free room, or into a run of victims that are evicted in turn
+    /// and whose frames are recycled in place and moved to the MRU end
+    /// with one splice. The first victim leaves before the page is
+    /// resolved, so pages retire and are created in the same order as
+    /// block-by-block installs would. Under an ownership cap each step
+    /// installs one block and trims its owner back to the cap.
     #[allow(clippy::too_many_arguments)] // internal state-machine helper
-    fn install(
+    fn install_run(
         &mut self,
-        key: Key,
+        file_id: u32,
+        first: u64,
+        count: u64,
         owner: u32,
         dirty: bool,
         prefetched: bool,
@@ -672,44 +788,80 @@ impl BlockCache {
         writebacks: &mut Vec<ByteRange>,
         hint: &mut u32,
     ) {
-        debug_assert!(self.index.len() as u64 <= self.capacity_blocks, "cache over capacity");
-        let frame = Frame { key, owner, dirty, prefetched, dirty_since: now, prev: NIL, next: NIL };
-        let slot = if self.index.len() as u64 >= self.capacity_blocks {
-            // Full, and never over capacity, so exactly one victim makes
-            // room; its frame is reused in place as the new MRU block.
-            let victim = self.select_victim(pinned);
-            if let Some(wb) = self.evict_entry(victim) {
-                writebacks.push(wb);
+        let pk = (file_id, first >> PAGE_SHIFT);
+        let end = first + count;
+        let mut b = first;
+        while b < end {
+            if b > first {
+                // This step's first block is looked up after an install,
+                // whose ownership-cap trim may have emptied the page.
+                self.index.lookup(file_id, b, hint);
             }
-            let f = &mut self.frames[victim as usize];
-            *f = Frame { prev: f.prev, next: f.next, ..frame };
-            self.touch_slot(victim);
-            victim
-        } else {
-            let slot = self.alloc_frame(frame);
-            self.push_tail(slot);
-            slot
-        };
-        self.index.insert_hinted(key, slot, hint);
-        if dirty {
-            self.dirty_blocks += 1;
+            let want = if self.track_owners { 1 } else { end - b };
+            let len = self.index.len() as u64;
+            debug_assert!(len <= self.capacity_blocks, "cache over capacity");
+            let (victim, k) = if len < self.capacity_blocks {
+                (NIL, want.min(self.capacity_blocks - len))
+            } else {
+                let (v, k) = self.select_victim(pinned, want);
+                self.evict_chain(v, 1, writebacks);
+                (v, k)
+            };
+            let p = self.index.page_for_insert(pk, hint);
+            // The lookups and the page probes of the step's other blocks
+            // come while the page is live in the hint's slot.
+            self.index.count_hinted(2 * (k - 1));
+            let i = b & PAGE_MASK;
+            self.index.add_blocks(p, run_mask(i, k), prefetched);
+            let frame = Frame { key: (file_id, b), owner, dirty, dirty_since: now, prev: NIL, next: NIL };
+            if victim == NIL {
+                for j in 0..k {
+                    let slot = self.alloc_frame(Frame { key: (file_id, b + j), ..frame });
+                    self.push_tail(slot);
+                    self.index.pages[p as usize].slots[(i + j) as usize] = slot;
+                }
+            } else {
+                if k > 1 {
+                    let next = self.frames[victim as usize].next;
+                    self.evict_chain(next, k - 1, writebacks);
+                }
+                let mut slot = victim;
+                let mut last = victim;
+                for j in 0..k {
+                    let f = &mut self.frames[slot as usize];
+                    *f = Frame { key: (file_id, b + j), prev: f.prev, next: f.next, ..frame };
+                    self.index.pages[p as usize].slots[(i + j) as usize] = slot;
+                    last = slot;
+                    slot = f.next;
+                }
+                self.splice_to_tail(victim, last);
+            }
+            if dirty {
+                self.dirty_blocks += k;
+            }
+            if self.track_owners {
+                self.trim_owner(owner, (file_id, b), pinned, writebacks);
+            }
+            b += k;
         }
-        if self.track_owners {
-            *self.owner_counts.entry(owner).or_insert(0) += 1;
-            self.per_owner.entry(owner).or_default().touch(key);
-        }
+    }
 
-        // Ownership cap: trim the owner back to its allotment even when
-        // the cache as a whole has room (§6.2's buffer-limit experiment).
+    /// Account `owner`'s newly installed block `key` and, under an
+    /// ownership cap, evict the owner's own blocks back down to its
+    /// allotment even when the cache as a whole has room (§6.2's
+    /// buffer-limit experiment).
+    fn trim_owner(&mut self, owner: u32, key: Key, pinned: &PinnedSpan, writebacks: &mut Vec<ByteRange>) {
+        *self.owner_counts.entry(owner).or_insert(0) += 1;
+        self.per_owner.entry(owner).or_default().touch(key);
         if let Some(cap) = self.config.per_process_cap_blocks {
             while self.owner_counts.get(&owner).copied().unwrap_or(0) > cap {
                 match self.select_own_victim(owner, pinned) {
                     Some(victim) => {
                         let slot =
-                            self.index.get(&victim).expect("own victim must be resident");
-                        if let Some(wb) = self.finish_evict(slot) {
-                            writebacks.push(wb);
-                        }
+                            self.index.get_unhinted(&victim).expect("own victim must be resident");
+                        self.evict_chain(slot, 1, writebacks);
+                        self.unlink(slot);
+                        self.free_frame(slot);
                     }
                     None => break,
                 }
@@ -758,35 +910,39 @@ impl BlockCache {
         let (first, last) = self.block_span(offset, length);
         let pinned = PinnedSpan { file_id, first, last };
 
+        // One hint serves the demand and the read-ahead loops.
         let mut hint = NO_PAGE;
         let mut chain = HitChain::EMPTY;
         let mut run_start: Option<u64> = None;
-        for b in first..=last {
-            let key = (file_id, b);
-            if let Some(slot) = self.index.get_hinted(&key, &mut hint) {
-                out.hit_blocks += 1;
-                let f = &mut self.frames[slot as usize];
-                let owner = f.owner;
-                if f.prefetched {
-                    f.prefetched = false;
-                    out.readahead_hit_blocks += 1;
+        let mut b = first;
+        while b <= last {
+            let (mut page, seg_last) = self.index.open_segment(file_id, b, last, &mut hint);
+            while b <= seg_last {
+                // Each run counts the lookups of its blocks after the
+                // first, and of the block that follows it.
+                let (resident, k) = self.index.run_at(page, b, seg_last);
+                let more = b + k <= seg_last;
+                if resident {
+                    self.index.count_hinted(k - 1 + u64::from(more));
+                    out.hit_blocks += k;
+                    out.readahead_hit_blocks += self.hit_run(page, file_id, b, k, &mut chain);
+                    if let Some(start) = run_start.take() {
+                        out.fetches.push(ByteRange {
+                            file_id,
+                            offset: start * bs,
+                            length: (b - start) * bs,
+                        });
+                    }
+                } else {
+                    out.miss_blocks += k;
+                    run_start.get_or_insert(b);
+                    self.splice_chain(&mut chain);
+                    self.install_run(file_id, b, k, pid, false, false, now, &pinned, &mut out.writebacks, &mut hint);
+                    if more {
+                        page = self.index.lookup(file_id, b + k, &mut hint);
+                    }
                 }
-                self.chain_hit(&mut chain, slot);
-                if self.track_owners {
-                    self.per_owner.entry(owner).or_default().touch(key);
-                }
-                if let Some(start) = run_start.take() {
-                    out.fetches.push(ByteRange {
-                        file_id,
-                        offset: start * bs,
-                        length: (b - start) * bs,
-                    });
-                }
-            } else {
-                out.miss_blocks += 1;
-                run_start.get_or_insert(b);
-                self.splice_chain(&mut chain);
-                self.install(key, pid, false, false, now, &pinned, &mut out.writebacks, &mut hint);
+                b += k;
             }
         }
         self.splice_chain(&mut chain);
@@ -812,24 +968,32 @@ impl BlockCache {
             .get(&seq_key)
             .is_some_and(|s| s.next_offset == offset);
         if self.config.read_ahead && sequential {
-            let pf_offset = offset + length;
-            let pf_len = length;
-            let (pf_first, pf_last) = self.block_span(pf_offset, pf_len);
+            let (pf_first, pf_last) = self.block_span(offset + length, length);
             let mut pf_run: Option<u64> = None;
-            for b in pf_first..=pf_last {
-                let key = (file_id, b);
-                if self.index.get_hinted(&key, &mut hint).is_some() {
-                    if let Some(start) = pf_run.take() {
-                        out.prefetch.push(ByteRange {
-                            file_id,
-                            offset: start * bs,
-                            length: (b - start) * bs,
-                        });
+            let mut b = pf_first;
+            while b <= pf_last {
+                let (mut page, seg_last) = self.index.open_segment(file_id, b, pf_last, &mut hint);
+                while b <= seg_last {
+                    let (resident, k) = self.index.run_at(page, b, seg_last);
+                    let more = b + k <= seg_last;
+                    if resident {
+                        self.index.count_hinted(k - 1 + u64::from(more));
+                        if let Some(start) = pf_run.take() {
+                            out.prefetch.push(ByteRange {
+                                file_id,
+                                offset: start * bs,
+                                length: (b - start) * bs,
+                            });
+                        }
+                    } else {
+                        pf_run.get_or_insert(b);
+                        self.install_run(file_id, b, k, pid, false, true, now, &pinned, &mut out.writebacks, &mut hint);
+                        self.stats.prefetched_blocks += k;
+                        if more {
+                            page = self.index.lookup(file_id, b + k, &mut hint);
+                        }
                     }
-                } else {
-                    pf_run.get_or_insert(b);
-                    self.install(key, pid, false, true, now, &pinned, &mut out.writebacks, &mut hint);
-                    self.stats.prefetched_blocks += 1;
+                    b += k;
                 }
             }
             if let Some(start) = pf_run {
@@ -891,31 +1055,42 @@ impl BlockCache {
         let mut hint = NO_PAGE;
         let mut chain = HitChain::EMPTY;
         let mut hits = 0;
-        for b in first..=last {
-            let key = (file_id, b);
-            if let Some(slot) = self.index.get_hinted(&key, &mut hint) {
-                hits += 1;
-                let f = &mut self.frames[slot as usize];
-                let owner = f.owner;
-                f.prefetched = false;
-                if !write_through && !f.dirty {
-                    f.dirty = true;
-                    f.dirty_since = now;
-                    out.dirtied_blocks += 1;
-                    self.dirty_blocks += 1;
-                    self.enqueue_flush(key, now);
+        let mut b = first;
+        while b <= last {
+            let (mut page, seg_last) = self.index.open_segment(file_id, b, last, &mut hint);
+            while b <= seg_last {
+                let (resident, k) = self.index.run_at(page, b, seg_last);
+                let more = b + k <= seg_last;
+                if resident {
+                    self.index.count_hinted(k - 1 + u64::from(more));
+                    hits += k;
+                    self.hit_run(page, file_id, b, k, &mut chain);
+                    if !write_through {
+                        for j in 0..k {
+                            let slot = self.index.pages[page as usize].slots[((b + j) & PAGE_MASK) as usize];
+                            let f = &mut self.frames[slot as usize];
+                            if !f.dirty {
+                                f.dirty = true;
+                                f.dirty_since = now;
+                                out.dirtied_blocks += 1;
+                                self.dirty_blocks += 1;
+                                self.enqueue_flush((file_id, b + j), 1, now);
+                            }
+                        }
+                    }
+                } else {
+                    self.splice_chain(&mut chain);
+                    let dirty = !write_through;
+                    self.install_run(file_id, b, k, pid, dirty, false, now, &pinned, &mut out.writebacks, &mut hint);
+                    if dirty {
+                        out.dirtied_blocks += k;
+                        self.enqueue_flush((file_id, b), k, now);
+                    }
+                    if more {
+                        page = self.index.lookup(file_id, b + k, &mut hint);
+                    }
                 }
-                self.chain_hit(&mut chain, slot);
-                if self.track_owners {
-                    self.per_owner.entry(owner).or_default().touch(key);
-                }
-            } else {
-                self.splice_chain(&mut chain);
-                self.install(key, pid, !write_through, false, now, &pinned, &mut out.writebacks, &mut hint);
-                if !write_through {
-                    out.dirtied_blocks += 1;
-                    self.enqueue_flush(key, now);
-                }
+                b += k;
             }
         }
         self.splice_chain(&mut chain);
@@ -938,10 +1113,10 @@ impl BlockCache {
             .insert((pid, file_id), SeqTrack { next_offset: offset + length });
     }
 
-    /// Queue block `key`, just dirtied at `dirty_since`, for background
-    /// flush: extend the newest run when the block continues it,
-    /// otherwise open a run.
-    fn enqueue_flush(&mut self, (file_id, block): Key, dirty_since: SimTime) {
+    /// Queue blocks `block..block + count` of `file_id`, just dirtied at
+    /// `dirty_since`, for background flush: extend the newest run when
+    /// they continue it, otherwise open a run.
+    fn enqueue_flush(&mut self, (file_id, block): Key, count: u64, dirty_since: SimTime) {
         let ready_at = match self.config.write_policy {
             WritePolicy::WriteThrough => return,
             WritePolicy::WriteBehind => dirty_since,
@@ -952,11 +1127,11 @@ impl BlockCache {
                 && run.dirty_since == dirty_since
                 && run.first + run.count == block
             {
-                run.count += 1;
+                run.count += count;
                 return;
             }
         }
-        self.flush_q.push_back(FlushRun { file_id, first: block, count: 1, dirty_since, ready_at });
+        self.flush_q.push_back(FlushRun { file_id, first: block, count, dirty_since, ready_at });
     }
 
     /// Pop up to `max_bytes` of flush-ready dirty data, marking it clean
@@ -990,27 +1165,47 @@ impl BlockCache {
         let mut budget = max_bytes;
         let mut hint = NO_PAGE;
         while budget >= bs {
-            // Consume the front run one block at a time.
-            let run = match self.flush_q.front_mut() {
-                Some(run) if run.ready_at <= now => run,
+            // Consume the front run one page segment at a time.
+            let (file_id, first, count, dirty_since) = match self.flush_q.front() {
+                Some(run) if run.ready_at <= now => (run.file_id, run.first, run.count, run.dirty_since),
                 _ => break,
             };
-            let (key, dirty_since) = ((run.file_id, run.first), run.dirty_since);
-            run.first += 1;
-            run.count -= 1;
+            let seg = count.min(PAGE_BLOCKS - (first & PAGE_MASK));
+            let taken = match self.index.find_page((file_id, first >> PAGE_SHIFT), &mut hint) {
+                // The page is gone, so every entry in the segment is
+                // stale and each of their lookups misses the map.
+                None => {
+                    self.index.count_unhinted(seg - 1);
+                    seg
+                }
+                Some(page) => {
+                    let mut taken = 0;
+                    while taken < seg && budget >= bs {
+                        let b = first + taken;
+                        taken += 1;
+                        // A stale entry — evicted, already flushed, or
+                        // re-dirtied — is silently skipped.
+                        let pg = &self.index.pages[page as usize];
+                        if pg.resident >> (b & PAGE_MASK) & 1 == 0 {
+                            continue;
+                        }
+                        let f = &mut self.frames[pg.slots[(b & PAGE_MASK) as usize] as usize];
+                        if f.dirty && f.dirty_since == dirty_since {
+                            f.dirty = false;
+                            self.dirty_blocks -= 1;
+                            blocks.push((file_id, b));
+                            budget -= bs;
+                        }
+                    }
+                    self.index.count_hinted(taken - 1);
+                    taken
+                }
+            };
+            let run = self.flush_q.front_mut().expect("front run observed");
+            run.first += taken;
+            run.count -= taken;
             if run.count == 0 {
                 self.flush_q.pop_front();
-            }
-            // A stale entry — evicted, already flushed, or re-dirtied —
-            // is silently skipped.
-            if let Some(slot) = self.index.get_hinted(&key, &mut hint) {
-                let f = &mut self.frames[slot as usize];
-                if f.dirty && f.dirty_since == dirty_since {
-                    f.dirty = false;
-                    self.dirty_blocks -= 1;
-                    blocks.push(key);
-                    budget -= bs;
-                }
             }
         }
         let first = out.len();
@@ -1151,6 +1346,19 @@ mod tests {
             (o.hit_blocks, o.miss_blocks, o.clean_evictions, o.dirty_evictions),
             (35, 91, 69, 6)
         );
+    }
+
+    #[test]
+    fn contains_leaves_the_counters_unchanged() {
+        let mut c = cache(256 * KB);
+        c.read(t(0), 1, 1, 0, 16 * KB);
+        let before = c.obs_counters();
+        assert!(c.contains(1, 0));
+        assert!(c.contains(1, 12 * KB));
+        assert!(!c.contains(1, 16 * KB), "same page, absent block");
+        assert!(!c.contains(1, 1024 * KB), "absent page");
+        assert!(!c.contains(2, 0), "absent file");
+        assert_eq!(c.obs_counters(), before);
     }
 
     #[test]

@@ -604,7 +604,7 @@ fn assert_same_state(real: &BlockCache, model: &Model, step: usize) -> Result<()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(384))]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     fn run_granular_cache_matches_the_per_block_model(
         config in arb_config(),
