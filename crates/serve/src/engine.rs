@@ -30,6 +30,10 @@
 //!   [`SubmitError::QueueFull`] instead of buffering unboundedly
 //!   (coalesced duplicates and cache hits are always admitted — they
 //!   add no work).
+//! * **Panic containment**: a job whose simulation panics answers its
+//!   submitter and every coalesced waiter with an error, caches
+//!   nothing, leaves the in-flight count, and the worker goes on
+//!   serving.
 //!
 //! ## Determinism
 //!
@@ -49,8 +53,10 @@ use experiments::figures::two_venus_report;
 use experiments::{run_campaign_in, CampaignSpec, Scale, StoreConfig, TraceStore};
 use serde::{Serialize, Value};
 use sim_core::units::MB;
+use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -640,6 +646,14 @@ impl Drop for Engine {
 }
 
 fn worker_loop(inner: &Inner) {
+    serve_jobs(inner, execute);
+}
+
+/// Run queued jobs with `run` until the engine stops. A job whose run
+/// panics completes its flight with an error for the submitter and
+/// every coalesced waiter; nothing is cached, and the worker goes on to
+/// the next job.
+fn serve_jobs(inner: &Inner, run: impl Fn(&TraceStore, &RequestBody) -> Value) {
     loop {
         let job = {
             let mut s = inner.sched.lock().expect("sched lock");
@@ -657,21 +671,40 @@ fn worker_loop(inner: &Inner) {
         let queue_wait = job.enqueued_at.elapsed();
         inner.metrics.queue_wait[ty].record_us(queue_wait.as_micros() as u64);
         let started = Instant::now();
-        let value = Arc::new(execute(&inner.store, &job.body));
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(&inner.store, &job.body)));
         let service = started.elapsed();
-        inner.metrics.service_time[ty].record_us(service.as_micros() as u64);
+        let result = match outcome {
+            Ok(value) => {
+                inner.metrics.service_time[ty].record_us(service.as_micros() as u64);
+                Ok(Arc::new(value))
+            }
+            Err(payload) => Err(format!("the simulation panicked: {}", panic_message(&*payload))),
+        };
         {
             let mut s = inner.sched.lock().expect("sched lock");
             s.flights.remove(&job.key);
-            s.cache_insert(job.key, Arc::clone(&value), inner.cfg.result_cache);
+            if let Ok(value) = &result {
+                s.cache_insert(job.key, Arc::clone(value), inner.cfg.result_cache);
+            }
             s.inflight -= 1;
         }
-        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-        inner.metrics.completed.inc();
+        if result.is_ok() {
+            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.completed.inc();
+        }
         inner.drained.notify_all();
         *job.flight.timing.lock().expect("flight lock") =
             Some(FlightTiming { queue_wait, service });
-        job.flight.complete(Ok(value));
+        job.flight.complete(result);
+    }
+}
+
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(msg), _) => msg,
+        (_, Some(msg)) => msg,
+        _ => "non-string panic payload",
     }
 }
 
@@ -902,6 +935,61 @@ mod tests {
             serde_json::to_string(served.as_ref()).expect("print"),
             serde_json::to_string(&fresh).expect("print")
         );
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_waiters_and_the_worker_keeps_serving() {
+        // No pool workers: both submissions queue before the worker below
+        // starts, so the duplicate coalesces onto the first.
+        let engine = quick_engine(0, 4);
+        let fig8 = |seed| {
+            RequestBody::Fig8Point(Fig8PointSpec { cache_mb: 8, block: 4096, scale: 64, seed })
+        };
+        let bad = fig8(7);
+        let first = engine.submit("a", &bad).expect("admitted");
+        let dup = engine.submit("b", &bad).expect("admitted");
+        assert!(dup.coalesced, "the duplicate shares the first's flight");
+        let inner = Arc::clone(&engine.inner);
+        let worker = std::thread::spawn(move || {
+            serve_jobs(&inner, |store, body| match body {
+                RequestBody::Fig8Point(s) if s.seed == 7 => panic!("injected failure"),
+                _ => execute(store, body),
+            })
+        });
+        let failed = |t: &Ticket| {
+            let err = t
+                .wait_timeout(Duration::from_secs(120))
+                .expect("answered")
+                .expect_err("a panicked job is an error");
+            assert!(err.contains("injected failure"), "{err}");
+        };
+        failed(&first);
+        failed(&dup);
+        assert!(engine.drain(Duration::from_secs(5)), "the failed job is no longer in flight");
+        {
+            let s = engine.inner.sched.lock().expect("sched lock");
+            assert!(s.flights.is_empty() && s.results.is_empty(), "nothing cached");
+        }
+        assert_eq!(engine.completed(), 0);
+        // A failure is not cached: the same body runs (and fails) again.
+        let again = engine.submit("c", &bad).expect("admitted");
+        assert!(!again.cached);
+        failed(&again);
+        // The same worker answers a valid point exactly like a one-shot run.
+        let good = fig8(42);
+        let served = engine
+            .submit("a", &good)
+            .expect("admitted")
+            .wait_timeout(Duration::from_secs(120))
+            .expect("answered")
+            .expect("computed");
+        let fresh = execute(&TraceStore::new(), &good);
+        assert_eq!(
+            serde_json::to_string(served.as_ref()).expect("print"),
+            serde_json::to_string(&fresh).expect("print")
+        );
+        drop(engine);
+        worker.join().expect("the worker outlives the panic and stops with the engine");
     }
 
     #[test]
