@@ -220,36 +220,11 @@ impl PagedIndex {
         self.probes_unhinted.set(self.probes_unhinted.get() + n);
     }
 
-    /// Open the page segment of a request that starts at block `b` and
-    /// ends at `last`: resolve the page with the lookup of block `b`.
-    /// Returns the page slot (or `NO_PAGE`) and the segment's last block.
-    #[inline]
-    fn open_segment(&self, file_id: u32, b: u64, last: u64, hint: &mut u32) -> (u32, u64) {
-        let seg_last = last.min(b | PAGE_MASK);
-        (self.lookup(file_id, b, hint), seg_last)
-    }
-
     /// The lookup of block `b` of `file_id`, resolving its page: one
     /// probe. Returns the page slot, or `NO_PAGE`.
     #[inline]
     fn lookup(&self, file_id: u32, b: u64, hint: &mut u32) -> u32 {
         self.find_page((file_id, b >> PAGE_SHIFT), hint).unwrap_or(NO_PAGE)
-    }
-
-    /// The run that starts at block `b` of `page` and ends by `seg_last`:
-    /// whether its blocks are resident, and how many there are.
-    #[inline]
-    fn run_at(&self, page: u32, b: u64, seg_last: u64) -> (bool, u64) {
-        let bits = match page {
-            NO_PAGE => 0,
-            p => self.pages[p as usize].resident >> (b & PAGE_MASK),
-        };
-        let left = seg_last - b + 1;
-        if bits & 1 == 1 {
-            (true, u64::from((!bits).trailing_zeros()).min(left))
-        } else {
-            (false, u64::from(bits.trailing_zeros()).min(left))
-        }
     }
 
     /// The page that blocks about to be installed go into: one probe,
@@ -328,6 +303,74 @@ impl PagedIndex {
     #[inline]
     fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// One run of a [`Runs`] walk: blocks `first..first + count`, all
+/// resident or all absent, in the page in slab slot `page` (`NO_PAGE`
+/// when the page is absent).
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first: u64,
+    count: u64,
+    resident: bool,
+    page: u32,
+}
+
+/// Walks blocks `next..=last` of one file as runs of resident and absent
+/// blocks, one 64-block page segment at a time, finding each run with
+/// `trailing_zeros` on the page's `resident` bitmap.
+///
+/// It counts one index probe per block lookup, as a block-by-block walk
+/// through the same hint would. The lookup of a segment's first block,
+/// and of the block after an install, goes to the index: an ownership-cap
+/// trim after an install may have emptied the page. Every other lookup
+/// finds the page live in the hint's slot and counts as hinted. The
+/// caller installs each absent run with [`BlockCache::install_run`],
+/// which counts the lookups inside the run.
+#[derive(Debug)]
+struct Runs {
+    file_id: u32,
+    next: u64,
+    last: u64,
+    /// Last block of the current page segment.
+    seg_last: u64,
+    page: u32,
+    /// The next lookup must go to the index: nothing is resolved yet, or
+    /// the blocks before it were just installed.
+    lookup_due: bool,
+}
+
+impl Runs {
+    fn new(file_id: u32, first: u64, last: u64) -> Runs {
+        Runs { file_id, next: first, last, seg_last: first, page: NO_PAGE, lookup_due: true }
+    }
+
+    #[inline]
+    fn next(&mut self, index: &PagedIndex, hint: &mut u32) -> Option<Run> {
+        let b = self.next;
+        if b > self.last {
+            return None;
+        }
+        if self.lookup_due || b > self.seg_last {
+            self.seg_last = self.last.min(b | PAGE_MASK);
+            self.page = index.lookup(self.file_id, b, hint);
+        } else {
+            index.count_hinted(1);
+        }
+        let bits = match self.page {
+            NO_PAGE => 0,
+            p => index.pages[p as usize].resident >> (b & PAGE_MASK),
+        };
+        let resident = bits & 1 == 1;
+        let run = if resident { !bits } else { bits };
+        let count = u64::from(run.trailing_zeros()).min(self.seg_last - b + 1);
+        if resident {
+            index.count_hinted(count - 1);
+        }
+        self.lookup_due = !resident;
+        self.next = b + count;
+        Some(Run { first: b, count, resident, page: self.page })
     }
 }
 
@@ -813,7 +856,8 @@ impl BlockCache {
             self.index.count_hinted(2 * (k - 1));
             let i = b & PAGE_MASK;
             self.index.add_blocks(p, run_mask(i, k), prefetched);
-            let frame = Frame { key: (file_id, b), owner, dirty, dirty_since: now, prev: NIL, next: NIL };
+            let frame =
+                Frame { key: (file_id, b), owner, dirty, dirty_since: now, prev: NIL, next: NIL };
             if victim == NIL {
                 for j in 0..k {
                     let slot = self.alloc_frame(Frame { key: (file_id, b + j), ..frame });
@@ -850,7 +894,13 @@ impl BlockCache {
     /// ownership cap, evict the owner's own blocks back down to its
     /// allotment even when the cache as a whole has room (§6.2's
     /// buffer-limit experiment).
-    fn trim_owner(&mut self, owner: u32, key: Key, pinned: &PinnedSpan, writebacks: &mut Vec<ByteRange>) {
+    fn trim_owner(
+        &mut self,
+        owner: u32,
+        key: Key,
+        pinned: &PinnedSpan,
+        writebacks: &mut Vec<ByteRange>,
+    ) {
         *self.owner_counts.entry(owner).or_insert(0) += 1;
         self.per_owner.entry(owner).or_default().touch(key);
         if let Some(cap) = self.config.per_process_cap_blocks {
@@ -914,35 +964,25 @@ impl BlockCache {
         let mut hint = NO_PAGE;
         let mut chain = HitChain::EMPTY;
         let mut run_start: Option<u64> = None;
-        let mut b = first;
-        while b <= last {
-            let (mut page, seg_last) = self.index.open_segment(file_id, b, last, &mut hint);
-            while b <= seg_last {
-                // Each run counts the lookups of its blocks after the
-                // first, and of the block that follows it.
-                let (resident, k) = self.index.run_at(page, b, seg_last);
-                let more = b + k <= seg_last;
-                if resident {
-                    self.index.count_hinted(k - 1 + u64::from(more));
-                    out.hit_blocks += k;
-                    out.readahead_hit_blocks += self.hit_run(page, file_id, b, k, &mut chain);
-                    if let Some(start) = run_start.take() {
-                        out.fetches.push(ByteRange {
-                            file_id,
-                            offset: start * bs,
-                            length: (b - start) * bs,
-                        });
-                    }
-                } else {
-                    out.miss_blocks += k;
-                    run_start.get_or_insert(b);
-                    self.splice_chain(&mut chain);
-                    self.install_run(file_id, b, k, pid, false, false, now, &pinned, &mut out.writebacks, &mut hint);
-                    if more {
-                        page = self.index.lookup(file_id, b + k, &mut hint);
-                    }
+        let mut runs = Runs::new(file_id, first, last);
+        while let Some(run) = runs.next(&self.index, &mut hint) {
+            let Run { first: b, count: k, resident, page } = run;
+            if resident {
+                out.hit_blocks += k;
+                out.readahead_hit_blocks += self.hit_run(page, file_id, b, k, &mut chain);
+                if let Some(start) = run_start.take() {
+                    out.fetches.push(ByteRange {
+                        file_id,
+                        offset: start * bs,
+                        length: (b - start) * bs,
+                    });
                 }
-                b += k;
+            } else {
+                out.miss_blocks += k;
+                run_start.get_or_insert(b);
+                self.splice_chain(&mut chain);
+                let wb = &mut out.writebacks;
+                self.install_run(file_id, b, k, pid, false, false, now, &pinned, wb, &mut hint);
             }
         }
         self.splice_chain(&mut chain);
@@ -970,30 +1010,22 @@ impl BlockCache {
         if self.config.read_ahead && sequential {
             let (pf_first, pf_last) = self.block_span(offset + length, length);
             let mut pf_run: Option<u64> = None;
-            let mut b = pf_first;
-            while b <= pf_last {
-                let (mut page, seg_last) = self.index.open_segment(file_id, b, pf_last, &mut hint);
-                while b <= seg_last {
-                    let (resident, k) = self.index.run_at(page, b, seg_last);
-                    let more = b + k <= seg_last;
-                    if resident {
-                        self.index.count_hinted(k - 1 + u64::from(more));
-                        if let Some(start) = pf_run.take() {
-                            out.prefetch.push(ByteRange {
-                                file_id,
-                                offset: start * bs,
-                                length: (b - start) * bs,
-                            });
-                        }
-                    } else {
-                        pf_run.get_or_insert(b);
-                        self.install_run(file_id, b, k, pid, false, true, now, &pinned, &mut out.writebacks, &mut hint);
-                        self.stats.prefetched_blocks += k;
-                        if more {
-                            page = self.index.lookup(file_id, b + k, &mut hint);
-                        }
+            let mut runs = Runs::new(file_id, pf_first, pf_last);
+            while let Some(run) = runs.next(&self.index, &mut hint) {
+                let Run { first: b, count: k, resident, .. } = run;
+                if resident {
+                    if let Some(start) = pf_run.take() {
+                        out.prefetch.push(ByteRange {
+                            file_id,
+                            offset: start * bs,
+                            length: (b - start) * bs,
+                        });
                     }
-                    b += k;
+                } else {
+                    pf_run.get_or_insert(b);
+                    let wb = &mut out.writebacks;
+                    self.install_run(file_id, b, k, pid, false, true, now, &pinned, wb, &mut hint);
+                    self.stats.prefetched_blocks += k;
                 }
             }
             if let Some(start) = pf_run {
@@ -1055,42 +1087,35 @@ impl BlockCache {
         let mut hint = NO_PAGE;
         let mut chain = HitChain::EMPTY;
         let mut hits = 0;
-        let mut b = first;
-        while b <= last {
-            let (mut page, seg_last) = self.index.open_segment(file_id, b, last, &mut hint);
-            while b <= seg_last {
-                let (resident, k) = self.index.run_at(page, b, seg_last);
-                let more = b + k <= seg_last;
-                if resident {
-                    self.index.count_hinted(k - 1 + u64::from(more));
-                    hits += k;
-                    self.hit_run(page, file_id, b, k, &mut chain);
-                    if !write_through {
-                        for j in 0..k {
-                            let slot = self.index.pages[page as usize].slots[((b + j) & PAGE_MASK) as usize];
-                            let f = &mut self.frames[slot as usize];
-                            if !f.dirty {
-                                f.dirty = true;
-                                f.dirty_since = now;
-                                out.dirtied_blocks += 1;
-                                self.dirty_blocks += 1;
-                                self.enqueue_flush((file_id, b + j), 1, now);
-                            }
+        let mut runs = Runs::new(file_id, first, last);
+        while let Some(run) = runs.next(&self.index, &mut hint) {
+            let Run { first: b, count: k, resident, page } = run;
+            if resident {
+                hits += k;
+                self.hit_run(page, file_id, b, k, &mut chain);
+                if !write_through {
+                    for j in 0..k {
+                        let i = ((b + j) & PAGE_MASK) as usize;
+                        let slot = self.index.pages[page as usize].slots[i];
+                        let f = &mut self.frames[slot as usize];
+                        if !f.dirty {
+                            f.dirty = true;
+                            f.dirty_since = now;
+                            out.dirtied_blocks += 1;
+                            self.dirty_blocks += 1;
+                            self.enqueue_flush((file_id, b + j), 1, now);
                         }
                     }
-                } else {
-                    self.splice_chain(&mut chain);
-                    let dirty = !write_through;
-                    self.install_run(file_id, b, k, pid, dirty, false, now, &pinned, &mut out.writebacks, &mut hint);
-                    if dirty {
-                        out.dirtied_blocks += k;
-                        self.enqueue_flush((file_id, b), k, now);
-                    }
-                    if more {
-                        page = self.index.lookup(file_id, b + k, &mut hint);
-                    }
                 }
-                b += k;
+            } else {
+                self.splice_chain(&mut chain);
+                let dirty = !write_through;
+                let wb = &mut out.writebacks;
+                self.install_run(file_id, b, k, pid, dirty, false, now, &pinned, wb, &mut hint);
+                if dirty {
+                    out.dirtied_blocks += k;
+                    self.enqueue_flush((file_id, b), k, now);
+                }
             }
         }
         self.splice_chain(&mut chain);
@@ -1167,7 +1192,9 @@ impl BlockCache {
         while budget >= bs {
             // Consume the front run one page segment at a time.
             let (file_id, first, count, dirty_since) = match self.flush_q.front() {
-                Some(run) if run.ready_at <= now => (run.file_id, run.first, run.count, run.dirty_since),
+                Some(run) if run.ready_at <= now => {
+                    (run.file_id, run.first, run.count, run.dirty_since)
+                }
                 _ => break,
             };
             let seg = count.min(PAGE_BLOCKS - (first & PAGE_MASK));

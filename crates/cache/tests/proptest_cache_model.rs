@@ -362,7 +362,8 @@ impl Model {
                 self.pages.get(key, &mut hint);
                 if !self.blocks.contains_key(&key) {
                     push_block(&mut out.prefetch, file_id, b, bs);
-                    self.install(key, pid, false, true, now, &pinned, &mut out.writebacks, &mut hint);
+                    let wb = &mut out.writebacks;
+                    self.install(key, pid, false, true, now, &pinned, wb, &mut hint);
                     self.stats.prefetched_blocks += 1;
                 }
             }
