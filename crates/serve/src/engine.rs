@@ -166,7 +166,8 @@ pub struct Ticket {
 
 impl Ticket {
     /// Block until the result is ready. `Err` means the engine stopped
-    /// before running the job (drain timeout exceeded).
+    /// before running the job (drain timeout exceeded) or the job
+    /// panicked.
     pub fn wait(&self) -> Result<Arc<Value>, String> {
         let mut done = self.flight.done.lock().expect("flight lock");
         loop {
