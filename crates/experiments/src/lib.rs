@@ -5,8 +5,9 @@
 //! as text (ASCII tables and plots). Every entry point takes the
 //! [`TraceStore`] its traces come from and, where it sweeps or
 //! simulates, the [`RunConfig`] the front end parsed; the `mio`
-//! subcommands and `repro_bench` call the same entry points, so
-//! "regenerating a figure" is always the same code path.
+//! subcommands, the serving daemon and the benchmark call the same
+//! entry points, so "regenerating a figure" is always the same code
+//! path.
 //!
 //! | entry point | reproduces |
 //! |---|---|

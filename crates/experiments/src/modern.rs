@@ -209,21 +209,6 @@ pub fn modern_comparison(
     }
 }
 
-/// Bench entry: the 2026-era sweep alone, returning total I/Os issued —
-/// `repro_bench` times this as `fig8_modern_sweep`, putting the
-/// queue-aware device models (NVMe queues, elevator, tier residency) on
-/// a gated hot path.
-pub fn modern_sweep_ios(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> u64 {
-    let sizes = [4u64, 8, 16, 32, 64, 128, 256];
-    let reports = par_sweep(cfg.threads, cfg.progress, &sizes, |&mb| {
-        venus_pair_report(store, cfg, DeviceEra::Era2026, mb, scale, seed)
-    });
-    reports
-        .iter()
-        .map(|r| r.processes.iter().map(|p| p.ios_issued).sum::<u64>())
-        .sum()
-}
-
 /// Render the comparison as text: the side-by-side sweep table, the
 /// claim verdict, and the queue-depth / tier-traffic observability
 /// lines.

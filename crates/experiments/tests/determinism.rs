@@ -74,10 +74,14 @@ fn parallel_sweep_is_stable_across_repeat_runs() {
     let jobs = grid();
     let store = TraceStore::new();
     let a = par_sweep(4, false, &jobs, run_point(&store, None));
+    let cold = store.footprint();
     let b = par_sweep(4, false, &jobs, run_point(&store, None));
     let a_json = serde_json::to_string(&a).expect("serialize");
     let b_json = serde_json::to_string(&b).expect("serialize");
     assert_eq!(a_json, b_json, "repeat parallel sweeps must be byte-identical");
+    // The warm sweep replays what the cold one memoized: it generates
+    // no trace, so the store's entries, events and bytes are unchanged.
+    assert_eq!(store.footprint(), cold, "a warm sweep must generate no trace");
 }
 
 /// The two-venus setup with traces generated *fresh* at every call,

@@ -18,8 +18,8 @@
 //!   numbers are unchanged when nobody is profiling.
 //! * **Exporter** ([`perfetto`]) — serializes the recorder into Chrome
 //!   trace-event JSON loadable by `ui.perfetto.dev` (and `chrome://
-//!   tracing`). Wired into every `mio` run subcommand and `repro_bench`
-//!   via `--profile <path>` (see [`profile::finish_profile`]).
+//!   tracing`). Wired into every `mio` run subcommand via
+//!   `--profile <path>` (see [`profile::finish_profile`]).
 //!
 //! The crate deliberately depends only on `sim-core` (for
 //! [`sim_core::Histogram`] in the disk counters); every other crate in
