@@ -74,7 +74,7 @@ fn assert_allocation_free(store: &TraceStore, what: &str) {
     let a2 = ALLOCS.load(Ordering::Relaxed);
 
     let extra_allocs = (a2 - a1).saturating_sub(a1 - a0);
-    let extra_ios = big_ios.saturating_sub(small_ios).max(1);
+    let extra_ios = big_ios - small_ios;
     let per_io = extra_allocs as f64 / extra_ios as f64;
     assert!(
         per_io < LIMIT,
