@@ -43,8 +43,8 @@ pub use iotrace::{
 pub use procstat::{reconstruct, Collector, LibraryShim, Pipe, PipelineReport, ShimConfig};
 pub use sim_core::{SimDuration, SimRng, SimTime};
 pub use storage_model::{
-    AnyDevice, BlockDevice, DiskModel, DiskParams, DiskSched, NvmeModel, NvmeParams, SsdModel,
-    SsdParams, TapeModel, TapeParams, TieredDevice, TieredParams,
+    AnyDevice, BlockDevice, DiskModel, DiskParams, DiskSched, NvmeModel, NvmeParams, TapeModel,
+    TapeParams, TieredDevice, TieredParams,
 };
 pub use trace_analysis::{
     amdahl::{AmdahlReport, YMP_DEFAULT_MIPS},

@@ -9,7 +9,7 @@ use crate::render::{num, pct, TextTable};
 use crate::runner::Scale;
 use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
-use iosim::{SimConfig, Simulation};
+use iosim::{DeviceSpec, SimConfig, Simulation};
 use serde::{Deserialize, Serialize};
 use sim_core::units::MB;
 use sim_core::SimDuration;
@@ -167,7 +167,8 @@ pub fn queueing_ablation(
     let variants = [false, true];
     let mut reports = par_sweep(cfg.threads, cfg.progress, &variants, |&queueing| {
         let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
-        config.disk = if queueing { DiskParams::ymp_with_queueing() } else { DiskParams::ymp() };
+        let disk = if queueing { DiskParams::ymp_with_queueing() } else { DiskParams::ymp() };
+        config.device = DeviceSpec::Disk(disk);
         let mut sim = Simulation::new(config);
         sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
             .expect("valid process");

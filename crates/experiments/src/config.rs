@@ -6,21 +6,21 @@
 //! where traces live, and which observers watch. Same config + same seed
 //! ⇒ identical result bytes, at any thread or shard count.
 //!
-//! | flag | environment default | default |
-//! |---|---|---|
-//! | `--threads N` | `MILLER_THREADS`, then `RAYON_NUM_THREADS` | available cores |
-//! | `--shards N` | `MILLER_SHARDS` | 1 |
-//! | `--trace-dir PATH` | `MILLER_TRACE_DIR` | per-process temp dir |
-//! | `--trace-mem-budget MB` | `MILLER_TRACE_MEM_BUDGET` | unbounded |
-//! | `--devices paper\|1991\|modern` | `MILLER_DEVICES` | `paper` |
-//! | `--progress` | `MILLER_PROGRESS` | off |
-//! | `--timeline NS` | `MILLER_TIMELINE` | off |
-//! | `--timeline-out PATH` | `MILLER_TIMELINE_OUT` | none |
-//! | `--profile PATH` | `MILLER_PROFILE` | none |
-//! | `--profile-capacity N` | `MILLER_PROFILE_CAPACITY` | 1 Mi events |
+//! | flag | default |
+//! |---|---|
+//! | `--threads N` | available cores |
+//! | `--shards N` | 1 |
+//! | `--trace-dir PATH` | per-process temp dir |
+//! | `--trace-mem-budget MB` | unbounded |
+//! | `--devices paper\|1991\|modern` | `paper` |
+//! | `--progress` | off |
+//! | `--timeline NS` | off |
+//! | `--timeline-out PATH` | none |
+//! | `--profile PATH` | none |
+//! | `--profile-capacity N` | 1 Mi events |
 //!
-//! [`RunConfig::from_args`] is the only reader of those variables. A
-//! malformed flag is an error; a malformed variable is ignored.
+//! The flags are the only spelling: the process environment is never
+//! read, and a malformed flag is an error.
 
 use crate::modern::DeviceEra;
 use crate::trace_store::StoreConfig;
@@ -52,8 +52,7 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
-    /// Every default from the table in the module docs, without
-    /// consulting the environment.
+    /// Every default from the table in the module docs.
     fn default() -> RunConfig {
         RunConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -127,26 +126,9 @@ fn take_parsed<T>(
 
 impl RunConfig {
     /// Consume every run-configuration flag from `args`, leaving the
-    /// rest for the caller. Unset flags fall back to the environment,
-    /// then to [`RunConfig::default`].
+    /// rest for the caller. Unset flags keep [`RunConfig::default`].
     pub fn from_args(args: &mut Vec<String>) -> Result<RunConfig, String> {
-        let env = |name: &str| std::env::var(name).ok().filter(|v| !v.trim().is_empty());
         let mut cfg = RunConfig::default();
-        if let Some(n) =
-            ["MILLER_THREADS", "RAYON_NUM_THREADS"].iter().find_map(|v| positive(&env(v)?))
-        {
-            cfg.threads = n;
-        }
-        cfg.shards = env("MILLER_SHARDS").and_then(|v| positive(&v)).unwrap_or(cfg.shards);
-        cfg.store.spill_dir = env("MILLER_TRACE_DIR").map(Into::into);
-        cfg.store.mem_budget = env("MILLER_TRACE_MEM_BUDGET").and_then(|v| budget(&v));
-        cfg.devices = env("MILLER_DEVICES").and_then(|v| era(&v)).unwrap_or(cfg.devices);
-        cfg.progress = env("MILLER_PROGRESS").is_some_and(|v| v != "0");
-        cfg.timeline_ns = env("MILLER_TIMELINE").and_then(|v| positive(&v)).map(|n| n as u64);
-        cfg.timeline_out = env("MILLER_TIMELINE_OUT");
-        cfg.profile = env("MILLER_PROFILE");
-        cfg.profile_capacity = env("MILLER_PROFILE_CAPACITY").and_then(|v| positive(&v));
-
         let count = "a positive integer";
         if let Some(n) = take_parsed(args, "--threads", count, positive)? {
             cfg.threads = n;
@@ -163,7 +145,7 @@ impl RunConfig {
         if let Some(e) = take_parsed(args, "--devices", "one of paper|1991|modern", era)? {
             cfg.devices = e;
         }
-        cfg.progress |= take_switch(args, "--progress");
+        cfg.progress = take_switch(args, "--progress");
         if let Some(ns) =
             take_parsed(args, "--timeline", "a positive nanosecond interval", positive)?
         {

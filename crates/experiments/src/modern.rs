@@ -55,7 +55,7 @@ pub enum DeviceEra {
 pub fn era_config(era: DeviceEra, cache_bytes: u64) -> SimConfig {
     let mut config = SimConfig::buffered(cache_bytes);
     if era == DeviceEra::Era2026 {
-        config.devices = Some(DeviceSpec::Tiered(TieredParams::modern_2026()));
+        config.device = DeviceSpec::Tiered(TieredParams::modern_2026());
         config.cpu_speedup = MODERN_CPU_SPEEDUP;
     }
     config
@@ -142,7 +142,7 @@ fn staging_trace(pid: u32, n_ios: u64) -> Trace {
 /// modern hierarchy, executed on `shards` worker threads.
 fn modern_cluster(scale: Scale, shards: usize, timeline_ns: Option<u64>) -> ClusterReport {
     let mut base = SimConfig { timeline_ns, ..SimConfig::buffered(4 * MB) };
-    base.devices = Some(DeviceSpec::Tiered(TieredParams::modern_2026()));
+    base.device = DeviceSpec::Tiered(TieredParams::modern_2026());
     base.cpu_speedup = MODERN_CPU_SPEEDUP;
     base.n_disks = 2;
     let mut cfg = ShardedConfig::new(4, base);
@@ -277,9 +277,9 @@ mod tests {
     fn era_configs_differ_only_in_devices_and_cpu() {
         let old = era_config(DeviceEra::Era1991, 32 * MB);
         let new = era_config(DeviceEra::Era2026, 32 * MB);
-        assert!(old.devices.is_none());
+        assert!(matches!(old.device, DeviceSpec::Disk(_)));
         assert_eq!(old.cpu_speedup, 1);
-        assert!(matches!(new.devices, Some(DeviceSpec::Tiered(_))));
+        assert!(matches!(new.device, DeviceSpec::Tiered(_)));
         assert_eq!(new.cpu_speedup, MODERN_CPU_SPEEDUP);
         assert_eq!(
             old.cache.as_ref().unwrap().capacity,

@@ -64,6 +64,6 @@ pub use flags::{CacheOutcome, Compression, DataKind, Direction, RecordType, Scop
 pub use record::{IoEvent, TraceItem};
 pub use stream::{merge_traces, read_trace, write_trace, Trace};
 pub use stream_v2::{
-    encode_frames, read_frames, write_frame_file, write_frame_file_with, BlockEntry, FrameCursor,
-    FrameFile, FrameIndex, FrameStream, FrameWriter,
+    encode_frames, write_frame_file, write_frame_file_with, BlockEntry, FrameCursor, FrameFile,
+    FrameIndex, FrameWriter,
 };

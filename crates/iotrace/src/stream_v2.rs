@@ -26,8 +26,8 @@
 //!
 //! All integers are little-endian. The trailing 8 bytes (`footer_len` +
 //! magic) let a reader locate the footer without scanning; the `"BLK\0"` /
-//! `"IDX\0"` tags let a pure-[`Read`] consumer walk the file forward with
-//! no index at all ([`FrameStream`]).
+//! `"IDX\0"` tags let a reader check that an index offset lands on the
+//! structure it claims.
 //!
 //! ## Event encoding
 //!
@@ -53,17 +53,13 @@
 //! memory — the varint delta coding *is* the block compression, with the
 //! compressed size recorded per block in its header.
 //!
-//! ## Replay modes
+//! ## Replay
 //!
-//! * [`FrameFile::open`] — `pread`-style random access straight from the
-//!   file descriptor; resident memory is one block per cursor.
-//! * [`FrameFile::open_mmap`] — maps the file (raw `mmap` syscall on
-//!   Linux/x86-64; other targets fall back to reading the file into an
-//!   owned buffer) and decodes blocks out of the mapping.
-//! * [`FrameStream`] — forward-only replay over any [`Read`], for pipes
-//!   and sockets; never needs the footer.
-//!
-//! [`FrameCursor`] is the zero-allocation iterator: one decoded block
+//! [`FrameFile::open`] validates the header and index footer, then reads
+//! each block with a positioned read (`pread`) straight from the file
+//! descriptor, so resident memory is one block per cursor.
+//! [`FrameFile::from_bytes`] reads the same format out of an in-memory
+//! buffer. [`FrameCursor`] is the zero-allocation iterator: one decoded block
 //! lives in a reusable scratch `Vec<IoEvent>` (plus a byte scratch for
 //! the compressed payload); advancing within a block allocates nothing,
 //! and crossing a boundary only recycles the same two buffers.
@@ -78,7 +74,7 @@ use crate::flags::RecordType;
 use crate::record::IoEvent;
 use sim_core::{SimDuration, SimTime};
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// File magic ("MIO2") opening every frame file.
@@ -497,123 +493,12 @@ where
     Ok(index)
 }
 
-// ---- memory map -------------------------------------------------------------
-
-/// A read-only byte buffer backing mmap-mode replay: a real memory map on
-/// Linux/x86-64, an owned in-memory copy elsewhere (or when mapping
-/// fails).
-#[derive(Debug)]
-pub enum FrameBuf {
-    /// A live `mmap(2)` of the file.
-    Mapped(Mmap),
-    /// The whole file read into memory (portable fallback).
-    Owned(Vec<u8>),
-}
-
-impl std::ops::Deref for FrameBuf {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            FrameBuf::Mapped(m) => m,
-            FrameBuf::Owned(v) => v,
-        }
-    }
-}
-
-/// A read-only private file mapping made with the raw `mmap` syscall —
-/// this build environment has no libc crate, so the two instructions are
-/// inlined here for the one target we run on.
-#[derive(Debug)]
-pub struct Mmap {
-    ptr: *const u8,
-    len: usize,
-}
-
-// The mapping is immutable shared memory; the raw pointer is only ever
-// dereferenced through &[u8].
-unsafe impl Send for Mmap {}
-unsafe impl Sync for Mmap {}
-
-impl std::ops::Deref for Mmap {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: ptr..ptr+len is a live PROT_READ mapping until Drop.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-impl Mmap {
-    /// Map `len` bytes of `file` read-only; `None` if the kernel refuses
-    /// (caller falls back to reading the file).
-    fn map(file: &File, len: usize) -> Option<Mmap> {
-        use std::os::unix::io::AsRawFd;
-        if len == 0 {
-            return None;
-        }
-        const PROT_READ: usize = 1;
-        const MAP_PRIVATE: usize = 2;
-        let ret: isize;
-        // SAFETY: plain mmap(NULL, len, PROT_READ, MAP_PRIVATE, fd, 0);
-        // all arguments are owned values, the kernel validates the fd.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9usize => ret, // __NR_mmap
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_READ,
-                in("r10") MAP_PRIVATE,
-                in("r8") file.as_raw_fd() as usize,
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-        if !(-4095..0).contains(&ret) && ret != 0 {
-            Some(Mmap { ptr: ret as *const u8, len })
-        } else {
-            None
-        }
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-impl Mmap {
-    fn map(_file: &File, _len: usize) -> Option<Mmap> {
-        None
-    }
-}
-
-impl Drop for Mmap {
-    fn drop(&mut self) {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        // SAFETY: munmap of the exact region map() returned; errors at
-        // unmap time are unreportable and harmless to ignore.
-        unsafe {
-            let _ret: isize;
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 11usize => _ret, // __NR_munmap
-                in("rdi") self.ptr as usize,
-                in("rsi") self.len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-    }
-}
-
 // ---- random-access reader ---------------------------------------------------
 
 #[derive(Debug)]
 enum Backing {
-    /// Whole file addressable as bytes (mmap or owned buffer).
-    Mem(FrameBuf),
+    /// The whole frame held in memory ([`FrameFile::from_bytes`]).
+    Mem(Vec<u8>),
     /// Blocks fetched on demand with positioned reads; resident memory
     /// stays one block per cursor.
     File(File),
@@ -640,29 +525,20 @@ impl Backing {
             }
             Backing::File(f) => {
                 #[cfg(unix)]
-                {
-                    use std::os::unix::fs::FileExt;
-                    f.read_exact_at(buf, offset).map_err(|e| {
-                        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                            TraceError::Truncated
-                        } else {
-                            TraceError::Io(e)
-                        }
-                    })
-                }
+                let read = std::os::unix::fs::FileExt::read_exact_at(f, buf, offset);
                 #[cfg(not(unix))]
-                {
-                    use std::io::{Seek, SeekFrom};
+                let read = {
+                    use std::io::{Read, Seek, SeekFrom};
                     let mut f = f;
-                    f.seek(SeekFrom::Start(offset))?;
-                    f.read_exact(buf).map_err(|e| {
-                        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                            TraceError::Truncated
-                        } else {
-                            TraceError::Io(e)
-                        }
-                    })
-                }
+                    f.seek(SeekFrom::Start(offset)).and_then(|_| f.read_exact(buf))
+                };
+                read.map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                        TraceError::Truncated
+                    } else {
+                        TraceError::Io(e)
+                    }
+                })
             }
         }
     }
@@ -684,28 +560,9 @@ impl FrameFile {
         FrameFile::from_backing(Backing::File(File::open(path)?))
     }
 
-    /// Open in mmap mode: the whole file is mapped (or, if mapping is
-    /// unavailable, read into memory) and blocks decode straight out of
-    /// the buffer.
-    pub fn open_mmap(path: &Path) -> Result<FrameFile, TraceError> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        let len_usize = usize::try_from(len).map_err(|_| TraceError::Truncated)?;
-        let buf = match Mmap::map(&file, len_usize) {
-            Some(m) => FrameBuf::Mapped(m),
-            None => {
-                let mut v = Vec::with_capacity(len_usize);
-                let mut f = file;
-                f.read_to_end(&mut v)?;
-                FrameBuf::Owned(v)
-            }
-        };
-        FrameFile::from_backing(Backing::Mem(buf))
-    }
-
     /// Treat an in-memory buffer as a frame file (tests, benches).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<FrameFile, TraceError> {
-        FrameFile::from_backing(Backing::Mem(FrameBuf::Owned(bytes)))
+        FrameFile::from_backing(Backing::Mem(bytes))
     }
 
     fn from_backing(backing: Backing) -> Result<FrameFile, TraceError> {
@@ -919,119 +776,6 @@ impl FrameCursor<'_> {
     }
 }
 
-// ---- sequential Read-based replay -------------------------------------------
-
-/// Forward-only frame replay over any [`Read`] — pipes, sockets, or
-/// plain files — needing neither `Seek` nor the index footer: blocks are
-/// self-describing, and the `"IDX\0"` tag marks end of data.
-#[derive(Debug)]
-pub struct FrameStream<R: Read> {
-    src: R,
-    bytes: Vec<u8>,
-    events: Vec<IoEvent>,
-    pos: usize,
-    block: usize,
-    done: bool,
-}
-
-impl<R: Read> FrameStream<R> {
-    /// Validate the header and position before the first block.
-    pub fn new(mut src: R) -> Result<FrameStream<R>, TraceError> {
-        let mut header = [0u8; HEADER_LEN as usize];
-        src.read_exact(&mut header).map_err(short_read)?;
-        if header[0..4] != FRAME_MAGIC {
-            return Err(TraceError::BadFrame { offset: 0, what: "bad file magic" });
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != FRAME_VERSION {
-            return Err(TraceError::BadFrame { offset: 4, what: "unsupported frame version" });
-        }
-        Ok(FrameStream {
-            src,
-            bytes: Vec::new(),
-            events: Vec::new(),
-            pos: 0,
-            block: 0,
-            done: false,
-        })
-    }
-
-    /// The next event, or `None` once the index footer is reached.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<IoEvent>, TraceError> {
-        loop {
-            if let Some(e) = self.events.get(self.pos) {
-                self.pos += 1;
-                return Ok(Some(*e));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            let mut tag = [0u8; 4];
-            self.src.read_exact(&mut tag).map_err(short_read)?;
-            if tag == INDEX_TAG {
-                self.done = true;
-                return Ok(None);
-            }
-            if tag != BLOCK_TAG {
-                return Err(TraceError::BadFrame { offset: 0, what: "bad block tag" });
-            }
-            let mut rest = [0u8; (BLOCK_HEADER_LEN - 4) as usize];
-            self.src.read_exact(&mut rest).map_err(short_read)?;
-            let min_time =
-                SimTime::from_ticks(u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes")));
-            let count = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes"));
-            let payload_len = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes"));
-            let want = u64::from_le_bytes(rest[16..24].try_into().expect("8 bytes"));
-            if count == 0 || count > MAX_BLOCK_EVENTS {
-                return Err(TraceError::BadFrame { offset: 0, what: "bad block count" });
-            }
-            if payload_len > MAX_PAYLOAD_LEN {
-                return Err(TraceError::BadFrame { offset: 0, what: "payload too long" });
-            }
-            self.bytes.clear();
-            self.bytes.resize(payload_len as usize, 0);
-            self.src.read_exact(&mut self.bytes).map_err(short_read)?;
-            if block_checksum(min_time.ticks(), count, &self.bytes) != want {
-                return Err(TraceError::ChecksumMismatch { block: self.block });
-            }
-            self.events.clear();
-            self.events.reserve(count as usize);
-            let mut cur = ByteCursor::new(&self.bytes);
-            let mut st = DeltaState::at_block(min_time);
-            for _ in 0..count {
-                self.events.push(decode_event(&mut cur, &mut st)?);
-            }
-            if !cur.exhausted() {
-                return Err(TraceError::BadFrame {
-                    offset: 0,
-                    what: "trailing bytes after last event in block",
-                });
-            }
-            self.pos = 0;
-            self.block += 1;
-        }
-    }
-}
-
-fn short_read(e: std::io::Error) -> TraceError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        TraceError::Truncated
-    } else {
-        TraceError::Io(e)
-    }
-}
-
-/// Decode a whole frame stream into one vector.
-pub fn read_frames<R: Read>(src: R) -> Result<Vec<IoEvent>, TraceError> {
-    let mut s = FrameStream::new(src)?;
-    let mut out = Vec::new();
-    while let Some(e) = s.next()? {
-        out.push(e);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1078,26 +822,16 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_via_stream_reader() {
-        let events = mixed_events(3_000);
-        let bytes = encode_frames(&events, 1024);
-        let got = read_frames(std::io::Cursor::new(bytes)).expect("decodes");
-        assert_eq!(got, events);
-    }
-
-    #[test]
-    fn roundtrip_via_files_pread_and_mmap() {
+    fn roundtrip_via_file() {
         let events = mixed_events(5_000);
         let dir = std::env::temp_dir().join(format!("miof-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("roundtrip.miof");
         let index = write_frame_file(&path, events.iter()).expect("writes");
         assert_eq!(index.total_events, 5_000);
-        let pread = FrameFile::open(&path).expect("opens");
-        assert_eq!(pread.decode_all().expect("decodes"), events);
-        let mapped = FrameFile::open_mmap(&path).expect("opens");
-        assert_eq!(mapped.decode_all().expect("decodes"), events);
-        assert_eq!(mapped.index(), &index);
+        let file = FrameFile::open(&path).expect("opens");
+        assert_eq!(file.decode_all().expect("decodes"), events);
+        assert_eq!(file.index(), &index);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1112,10 +846,9 @@ mod tests {
     #[test]
     fn empty_input_roundtrips() {
         let bytes = encode_frames(&[], 4096);
-        let file = FrameFile::from_bytes(bytes.clone()).expect("valid");
+        let file = FrameFile::from_bytes(bytes).expect("valid");
         assert_eq!(file.total_events(), 0);
         assert!(file.decode_all().expect("decodes").is_empty());
-        assert!(read_frames(std::io::Cursor::new(bytes)).expect("decodes").is_empty());
     }
 
     #[test]
@@ -1145,22 +878,6 @@ mod tests {
                 assert!(f.decode_all().is_err(), "cut at {cut} must not decode fully");
             }
         }
-        // The forward-only stream needs every block but never the footer:
-        // cuts before the index tag error, a cut inside the footer does
-        // not lose any events.
-        let footer_len =
-            u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().unwrap());
-        let footer_start = bytes.len() - 8 - footer_len as usize;
-        for cut in [0, 3, HEADER_LEN as usize, bytes.len() / 2, footer_start + 3] {
-            assert!(
-                read_frames(std::io::Cursor::new(&bytes[..cut])).is_err(),
-                "stream cut at {cut} must error"
-            );
-        }
-        assert_eq!(
-            read_frames(std::io::Cursor::new(&bytes[..bytes.len() - 1])).expect("footer unused"),
-            events
-        );
     }
 
     #[test]

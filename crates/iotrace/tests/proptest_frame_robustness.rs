@@ -2,18 +2,52 @@
 //! mirroring `proptest_decoder_robustness.rs` for the binary container:
 //!
 //! * any event stream the ASCII codec's model can express round-trips
-//!   bit-exactly through the frame format, via every replay mode;
+//!   bit-exactly through the frame format, from memory and from a file;
 //! * arbitrary bytes, truncations, and single-byte corruptions of valid
 //!   frames decode to a clean [`iotrace::TraceError`] or to the original
 //!   events — never a panic, and (for payload corruption) never a silent
-//!   misdecode past the block checksum.
+//!   misdecode past the block checksum. Truncated and corrupted frames
+//!   also go through a real file opened with [`FrameFile::open`], the
+//!   positioned-read path spilled traces replay from.
 
-use iotrace::stream_v2::{encode_frames, read_frames, FrameFile};
+use iotrace::stream_v2::{encode_frames, FrameFile};
 use iotrace::{
     CacheOutcome, DataKind, Direction, IoEvent, Scope, Synchrony, TraceError,
 };
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Decode `bytes` the way a spilled trace is replayed: write them to a
+/// fresh temp file and read it back through [`FrameFile::open`].
+fn decode_via_file(bytes: &[u8]) -> Result<Vec<IoEvent>, TraceError> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("frame-robustness-{}-{n}.miof", std::process::id()));
+    std::fs::write(&path, bytes).expect("temp frame file writes");
+    let got = FrameFile::open(&path).and_then(|f| f.decode_all());
+    std::fs::remove_file(&path).ok();
+    got
+}
+
+/// The robustness contract for one decode of damaged bytes: the original
+/// events, or a format error. An I/O error would mean a short read was
+/// not mapped to [`TraceError::Truncated`].
+fn original_or_format_error(
+    got: Result<Vec<IoEvent>, TraceError>,
+    events: &[IoEvent],
+) -> Result<(), TestCaseError> {
+    match got {
+        Ok(got) => prop_assert_eq!(got, events),
+        Err(e) => prop_assert!(
+            !matches!(e, TraceError::Io(_)),
+            "damage must map to a format error, not I/O: {}",
+            e
+        ),
+    }
+    Ok(())
+}
 
 /// An arbitrary event covering the full flag space and wide numeric
 /// ranges — the same model the ASCII codec encodes, minus the fields it
@@ -66,7 +100,7 @@ proptest! {
     ) {
         let bytes = encode_frames(&events, block_events);
 
-        // Indexed random-access replay (mmap-equivalent in-memory buffer).
+        // Indexed random-access replay from an in-memory buffer.
         let file = FrameFile::from_bytes(bytes.clone()).expect("valid frame");
         prop_assert_eq!(file.total_events(), events.len() as u64);
         prop_assert_eq!(file.decode_all().expect("decodes"), events.clone());
@@ -79,17 +113,13 @@ proptest! {
         }
         prop_assert_eq!(got, events.clone());
 
-        // Forward-only Read-based replay.
-        prop_assert_eq!(
-            read_frames(std::io::Cursor::new(bytes)).expect("decodes"),
-            events
-        );
+        // Positioned-read replay from a file.
+        prop_assert_eq!(decode_via_file(&bytes).expect("decodes"), events);
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let _ = FrameFile::from_bytes(bytes.clone()).map(|f| f.decode_all());
-        let _ = read_frames(std::io::Cursor::new(bytes));
+        let _ = FrameFile::from_bytes(bytes).map(|f| f.decode_all());
     }
 
     #[test]
@@ -100,14 +130,13 @@ proptest! {
         let bytes = encode_frames(&events, 32);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let trunc = bytes[..cut.min(bytes.len().saturating_sub(1))].to_vec();
-        // A truncated frame either fails to open, fails during decode, or
-        // (for cuts inside the unused footer) yields the original events.
-        if let Ok(got) = FrameFile::from_bytes(trunc.clone()).and_then(|f| f.decode_all()) {
-            prop_assert_eq!(got, events.clone());
-        }
-        if let Ok(got) = read_frames(std::io::Cursor::new(trunc)) {
-            prop_assert_eq!(got, events);
-        }
+        // A truncated frame either fails to open or fails during decode;
+        // it never yields anything but the original events.
+        original_or_format_error(decode_via_file(&trunc), &events)?;
+        original_or_format_error(
+            FrameFile::from_bytes(trunc).and_then(|f| f.decode_all()),
+            &events,
+        )?;
     }
 
     #[test]
@@ -124,15 +153,10 @@ proptest! {
         let mut corrupt = bytes.clone();
         let at = corrupt_at % corrupt.len();
         corrupt[at] ^= flip;
-        match FrameFile::from_bytes(corrupt.clone()).and_then(|f| f.decode_all()) {
-            Ok(got) => prop_assert_eq!(got, events.clone()),
-            Err(e) => prop_assert!(
-                !matches!(e, TraceError::Io(_)),
-                "corruption must map to a format error, not I/O"
-            ),
-        }
-        if let Ok(got) = read_frames(std::io::Cursor::new(corrupt)) {
-            prop_assert_eq!(got, events);
-        }
+        original_or_format_error(decode_via_file(&corrupt), &events)?;
+        original_or_format_error(
+            FrameFile::from_bytes(corrupt).and_then(|f| f.decode_all()),
+            &events,
+        )?;
     }
 }

@@ -232,15 +232,18 @@ static PUBLISHED: Mutex<Vec<TimelineData>> = Mutex::new(Vec::new());
 
 /// Hand a finished timeline to the process-wide store for
 /// [`finish_timelines`] / [`drain`]. Engines publish in completion
-/// order; single-run binaries and campaign folds publish exactly once,
-/// which is what the determinism guards compare.
+/// order, which depends on thread scheduling; [`drain`] hides it.
 pub fn publish(data: TimelineData) {
     PUBLISHED.lock().expect("timeline store lock").push(data);
 }
 
-/// Take every published timeline, leaving the store empty.
+/// Take every published timeline, leaving the store empty. They come
+/// back sorted by their rendered JSON, so the result does not depend on
+/// the order parallel runs finished in.
 pub fn drain() -> Vec<TimelineData> {
-    std::mem::take(&mut *PUBLISHED.lock().expect("timeline store lock"))
+    let mut timelines = std::mem::take(&mut *PUBLISHED.lock().expect("timeline store lock"));
+    timelines.sort_by_cached_key(|tl| render_json(std::slice::from_ref(tl)));
+    timelines
 }
 
 /// Render timelines as a deterministic standalone JSON document
@@ -397,6 +400,19 @@ mod tests {
             series[0].get("values").and_then(Value::as_seq),
             Some(&[Value::U64(3), Value::U64(1)][..])
         );
+    }
+
+    #[test]
+    fn drain_order_does_not_depend_on_publish_order() {
+        let a = data(10, &[("cache", &[1, 2])]);
+        let b = data(10, &[("disk0", &[3])]);
+        publish(a.clone());
+        publish(b.clone());
+        let first = drain();
+        publish(b);
+        publish(a);
+        assert_eq!(drain(), first);
+        assert!(drain().is_empty());
     }
 
     #[test]

@@ -60,9 +60,8 @@ impl CacheTier {
     }
 }
 
-/// Which device model backs the farm. `None` in [`SimConfig::devices`]
-/// means the paper's disk built from [`SimConfig::disk`] — the
-/// byte-identical default every figure uses.
+/// Which device model backs the farm. The default is the paper's
+/// unqueued Y-MP disk, which every figure uses.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum DeviceSpec {
     /// The paper's disk model (any queueing/scheduler mode).
@@ -108,12 +107,8 @@ pub struct SimConfig {
     pub tier: CacheTier,
     /// Scheduler parameters.
     pub sched: SchedParams,
-    /// Disk model parameters (shared by every disk in the farm) when
-    /// `devices` is `None`.
-    pub disk: DiskParams,
-    /// Alternative device model for the farm. `None` (the default and
-    /// the paper-faithful mode) builds classic disks from `disk`.
-    pub devices: Option<DeviceSpec>,
+    /// Device model of every device in the farm.
+    pub device: DeviceSpec,
     /// CPU-speed divisor applied to every compute phase: 1 (default)
     /// replays the trace's Y-MP compute times untouched; a 2026 rerun
     /// uses a large divisor because the same arithmetic now takes a
@@ -142,8 +137,7 @@ impl Default for SimConfig {
             cache: Some(CacheConfig::buffered(32 * sim_core::units::MB)),
             tier: CacheTier::MainMemory,
             sched: SchedParams::default(),
-            disk: DiskParams::ymp(),
-            devices: None,
+            device: DeviceSpec::Disk(DiskParams::ymp()),
             cpu_speedup: 1,
             n_cpus: 1,
             n_disks: 8,
@@ -175,20 +169,14 @@ impl SimConfig {
         SimConfig { cache: None, ..Default::default() }
     }
 
-    /// Build device `index` of the farm from whichever spec is active.
+    /// Build device `index` of the farm.
     pub fn build_device(&self, index: usize) -> AnyDevice {
-        match &self.devices {
-            Some(spec) => spec.build(index),
-            None => AnyDevice::Disk(DiskModel::new(format!("disk{index}"), self.disk.clone())),
-        }
+        self.device.build(index)
     }
 
-    /// Per-device capacity of the active device model.
+    /// Per-device capacity of the farm's device model.
     pub fn device_capacity(&self) -> u64 {
-        match &self.devices {
-            Some(spec) => spec.capacity(),
-            None => self.disk.capacity,
-        }
+        self.device.capacity()
     }
 
     /// Basic validation.
@@ -242,13 +230,12 @@ mod tests {
 
     #[test]
     fn default_devices_are_paper_disks() {
-        use storage_model::{AnyDevice, BlockDevice};
+        use storage_model::{AnyDevice, BlockDevice, DiskSched};
         let c = SimConfig::default();
-        assert!(c.devices.is_none());
         let d = c.build_device(3);
-        assert!(matches!(d, AnyDevice::Disk(_)));
+        assert!(matches!(&d, AnyDevice::Disk(m) if m.params().scheduler == DiskSched::Unqueued));
         assert_eq!(d.name(), "disk3");
-        assert_eq!(c.device_capacity(), c.disk.capacity);
+        assert_eq!(c.device_capacity(), DiskParams::ymp().capacity);
     }
 
     #[test]

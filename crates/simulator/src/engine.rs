@@ -1564,7 +1564,7 @@ mod tests {
     fn queueing_disk_reports_depth_distribution() {
         use crate::config::DeviceSpec;
         let mut cfg = SimConfig::uncached();
-        cfg.devices = Some(DeviceSpec::Disk(storage_model::DiskParams::ymp_with_elevator()));
+        cfg.device = DeviceSpec::Disk(storage_model::DiskParams::ymp_with_elevator());
         let mut sim = Simulation::new(cfg);
         sim.add_process(1, "r", &reader_trace(1, 50, 64 * KB, SimDuration::from_millis(1)))
             .expect("valid process");
@@ -1578,15 +1578,15 @@ mod tests {
     fn nvme_farm_is_faster_than_ymp_disks() {
         use crate::config::DeviceSpec;
         let trace = reader_trace(1, 200, 256 * KB, SimDuration::from_millis(1));
-        let run = |devices| {
+        let run = |device| {
             let mut cfg = SimConfig::uncached();
-            cfg.devices = devices;
+            cfg.device = device;
             let mut sim = Simulation::new(cfg);
             sim.add_process(1, "r", &trace).expect("valid process");
             sim.run()
         };
-        let ymp = run(None);
-        let nvme = run(Some(DeviceSpec::Nvme(storage_model::NvmeParams::modern_2026())));
+        let ymp = run(DeviceSpec::Disk(storage_model::DiskParams::ymp()));
+        let nvme = run(DeviceSpec::Nvme(storage_model::NvmeParams::modern_2026()));
         assert!(
             nvme.wall_end < ymp.wall_end,
             "nvme {} should beat 1991 disks {}",
@@ -1600,7 +1600,7 @@ mod tests {
     fn tiered_farm_runs_and_counts_tier_traffic() {
         use crate::config::DeviceSpec;
         let mut cfg = SimConfig::uncached();
-        cfg.devices = Some(DeviceSpec::Tiered(storage_model::TieredParams::modern_2026()));
+        cfg.device = DeviceSpec::Tiered(storage_model::TieredParams::modern_2026());
         cfg.n_disks = 2;
         let mut sim = Simulation::new(cfg);
         sim.add_process(1, "w", &writer_trace(1, 50, 64 * KB, SimDuration::from_millis(1)))

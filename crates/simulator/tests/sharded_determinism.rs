@@ -13,7 +13,7 @@ use sim_core::{SimDuration, SimTime};
 use storage_model::{DiskParams, NvmeParams, TieredParams};
 
 /// The device farms the invariance contract covers: the paper's
-/// no-queueing disk (`None`), FIFO and elevator queueing disks, the
+/// unqueued disk, FIFO and elevator queueing disks, the
 /// NVMe multi-queue flash device, and the tiered hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum DeviceKind {
@@ -25,13 +25,13 @@ enum DeviceKind {
 }
 
 impl DeviceKind {
-    fn spec(self) -> Option<DeviceSpec> {
+    fn spec(self) -> DeviceSpec {
         match self {
-            DeviceKind::Paper => None,
-            DeviceKind::QueueingFifo => Some(DeviceSpec::Disk(DiskParams::ymp_with_queueing())),
-            DeviceKind::Elevator => Some(DeviceSpec::Disk(DiskParams::ymp_with_elevator())),
-            DeviceKind::Nvme => Some(DeviceSpec::Nvme(NvmeParams::modern_2026())),
-            DeviceKind::Tiered => Some(DeviceSpec::Tiered(TieredParams::modern_2026())),
+            DeviceKind::Paper => DeviceSpec::Disk(DiskParams::ymp()),
+            DeviceKind::QueueingFifo => DeviceSpec::Disk(DiskParams::ymp_with_queueing()),
+            DeviceKind::Elevator => DeviceSpec::Disk(DiskParams::ymp_with_elevator()),
+            DeviceKind::Nvme => DeviceSpec::Nvme(NvmeParams::modern_2026()),
+            DeviceKind::Tiered => DeviceSpec::Tiered(TieredParams::modern_2026()),
         }
     }
 }
@@ -111,7 +111,7 @@ fn run_cluster_on(
     device: DeviceKind,
 ) -> String {
     let mut base = SimConfig::buffered(4 * 1024 * 1024);
-    base.devices = device.spec();
+    base.device = device.spec();
     let mut cfg = ShardedConfig::new(groups, base);
     cfg.epoch = epoch;
     cfg.max_active = max_active;

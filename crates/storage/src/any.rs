@@ -71,14 +71,6 @@ impl BlockDevice for AnyDevice {
         }
     }
 
-    fn suspends_process(&self) -> bool {
-        match self {
-            AnyDevice::Disk(d) => d.suspends_process(),
-            AnyDevice::Nvme(d) => d.suspends_process(),
-            AnyDevice::Tiered(d) => d.suspends_process(),
-        }
-    }
-
     fn stats(&self) -> &DeviceStats {
         match self {
             AnyDevice::Disk(d) => d.stats(),

@@ -132,14 +132,6 @@ pub trait BlockDevice {
     fn access(&mut self, now: SimTime, kind: AccessKind, offset: u64, length: u64)
         -> SimDuration;
 
-    /// Whether a request to this device suspends the issuing process.
-    /// Disks do; the SSD does not (§3: "I/Os to and from the SSD are done
-    /// without suspending the process, because the data is retrieved
-    /// quickly").
-    fn suspends_process(&self) -> bool {
-        true
-    }
-
     /// Accumulated accounting.
     fn stats(&self) -> &DeviceStats;
 

@@ -22,10 +22,12 @@ use serde::{Deserialize, Serialize};
 use sim_core::units::MB;
 use sim_core::{Histogram, SimDuration, SimTime};
 
-/// How a queueing disk orders its outstanding requests. Only meaningful
-/// when [`DiskParams::queueing`] is true.
+/// Whether a disk queues its requests, and in which order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DiskSched {
+    /// The paper's mode: no queueing, so every request is serviced as if
+    /// the device were idle.
+    Unqueued,
     /// First-come first-served: each request waits behind everything
     /// issued before it and pays its full positioning cost.
     Fifo,
@@ -54,11 +56,7 @@ pub struct DiskParams {
     pub avg_rotation: SimDuration,
     /// Fixed controller/command overhead per request.
     pub overhead: SimDuration,
-    /// When true, requests queue behind one another; when false (the
-    /// paper's mode) every request is serviced as if the device were
-    /// idle.
-    pub queueing: bool,
-    /// Request ordering for the queueing mode.
+    /// Queueing mode; [`DiskSched::Unqueued`] is the paper's.
     pub scheduler: DiskSched,
 }
 
@@ -72,8 +70,7 @@ impl Default for DiskParams {
             max_seek: SimDuration::from_millis(15),
             avg_rotation: SimDuration::from_micros(8_300),
             overhead: SimDuration::from_micros(500),
-            queueing: false,
-            scheduler: DiskSched::Fifo,
+            scheduler: DiskSched::Unqueued,
         }
     }
 }
@@ -87,12 +84,12 @@ impl DiskParams {
     /// Same drive with FIFO queueing enabled — the ablation for the
     /// paper's admitted simplification.
     pub fn ymp_with_queueing() -> Self {
-        DiskParams { queueing: true, ..Self::default() }
+        DiskParams { scheduler: DiskSched::Fifo, ..Self::default() }
     }
 
     /// Same drive with an elevator (SCAN) scheduler on the queue.
     pub fn ymp_with_elevator() -> Self {
-        DiskParams { queueing: true, scheduler: DiskSched::Elevator, ..Self::default() }
+        DiskParams { scheduler: DiskSched::Elevator, ..Self::default() }
     }
 
     /// A 2026 nearline hard drive (capacity tier): ~20 TB, ~280 MB/s
@@ -107,7 +104,6 @@ impl DiskParams {
             // Half a revolution at 7200 RPM ≈ 4.17 ms.
             avg_rotation: SimDuration::from_micros(4_170),
             overhead: SimDuration::from_micros(100),
-            queueing: true,
             scheduler: DiskSched::Elevator,
         }
     }
@@ -235,12 +231,13 @@ impl DiskModel {
             seeks: self.seeks,
             sequential_accesses: self.seq_accesses,
             seek_distance_bytes: Some(seek_hist),
-            queue_depth: self.params.queueing.then(|| self.queue_depths.clone()),
+            queue_depth: (self.params.scheduler != DiskSched::Unqueued)
+                .then(|| self.queue_depths.clone()),
             ..Default::default()
         }
     }
 
-    /// The `queueing: true` service computation, kept out of line so the
+    /// The queueing service computation, kept out of line so the
     /// paper-faithful no-queueing path — the canonical hot path every
     /// figure runs — inlines as the same tight body it had before the
     /// queue-aware modes existed.
@@ -264,8 +261,8 @@ impl DiskModel {
         let depth = self.inflight.len() as u64;
         self.queue_depths.record(depth as f64);
         let pos = match self.params.scheduler {
-            DiskSched::Fifo => self.position_cost(offset),
             DiskSched::Elevator => self.elevator_position_cost(offset, depth),
+            DiskSched::Unqueued | DiskSched::Fifo => self.position_cost(offset),
         };
         let service = self.params.overhead + pos + self.transfer_time(length);
         let begin = self.free_at.max(now);
@@ -301,7 +298,7 @@ impl BlockDevice for DiskModel {
             // abs_diff is nonzero here, so ilog2 is defined.
             self.seek_buckets[self.head.abs_diff(offset).ilog2() as usize] += 1;
         }
-        let (service, latency) = if self.params.queueing {
+        let (service, latency) = if self.params.scheduler != DiskSched::Unqueued {
             self.queued_service(now, offset, length)
         } else {
             let service =
@@ -522,11 +519,6 @@ mod tests {
             (512.0..=1024.0).contains(&p50),
             "512-byte seek should bucket near 512, got {p50}"
         );
-    }
-
-    #[test]
-    fn disk_suspends_processes() {
-        assert!(disk().suspends_process());
     }
 
     #[test]

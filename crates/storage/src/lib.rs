@@ -11,8 +11,6 @@
 //!   was to the previous I/O"). Optional queueing modes model the delay
 //!   the paper acknowledged omitting: FIFO, or an elevator (SCAN)
 //!   scheduler ([`DiskSched`]).
-//! * [`SsdModel`] — the solid-state disk: zero seek, ~1 µs per KB
-//!   transferred (1 GB/s) plus a fixed setup overhead.
 //! * [`TapeModel`] — the Mass Storage System's nearline tape: a large mount
 //!   penalty, then streaming.
 //!
@@ -33,7 +31,6 @@ pub mod any;
 pub mod device;
 pub mod disk;
 pub mod nvme;
-pub mod ssd;
 pub mod tape;
 pub mod tiered;
 
@@ -41,6 +38,5 @@ pub use any::AnyDevice;
 pub use device::{clamp_extent, AccessKind, BlockDevice, DeviceGauges, DeviceStats};
 pub use disk::{DiskModel, DiskParams, DiskSched};
 pub use nvme::{NvmeModel, NvmeParams};
-pub use ssd::{SsdModel, SsdParams};
 pub use tape::{TapeModel, TapeParams};
 pub use tiered::{TieredDevice, TieredParams};

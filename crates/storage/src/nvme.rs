@@ -1,8 +1,8 @@
 //! An NVMe-style multi-queue flash device.
 //!
-//! The paper-era [`SsdModel`](crate::SsdModel) charges `setup + transfer`
-//! to every request independently — infinite concurrency and infinite
-//! aggregate bandwidth. Real flash devices expose many submission queues
+//! The paper-era SSD (the simulator's `CacheTier::Ssd`) charges
+//! `setup + transfer` to every access independently — infinite
+//! concurrency and infinite aggregate bandwidth. Real flash devices expose many submission queues
 //! with bounded depth, and their aggregate throughput saturates at the
 //! device's internal bandwidth no matter how many queues are pounding
 //! it. This model captures both effects while staying deterministic:
@@ -291,13 +291,6 @@ mod tests {
         assert_eq!(h.total(), 6);
         // Later arrivals saw several outstanding commands.
         assert!(h.quantile(1.0).unwrap() >= 4.0);
-    }
-
-    #[test]
-    fn nvme_suspends_processes() {
-        // Unlike the paper SSD, a modern NVMe request still goes through
-        // the kernel block layer; the issuing process blocks.
-        assert!(small().suspends_process());
     }
 
     #[test]

@@ -196,11 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn tape_suspends_processes() {
-        assert!(TapeModel::mss().suspends_process());
-    }
-
-    #[test]
     fn lto_2026_is_bigger_and_faster() {
         let old = TapeParams::default();
         let new = TapeParams::lto_2026();

@@ -5,42 +5,51 @@
 //! cargo run --release --example storage_hierarchy
 //! ```
 
-use miller_core::{BlockDevice, DiskModel, SsdModel, TapeModel};
+use miller_core::{BlockDevice, CacheTier, DiskModel, TapeModel};
 use sim_core::units::MB;
 use sim_core::SimTime;
 use storage_model::AccessKind;
 
+const SIZES: [u64; 3] = [64 * 1024, MB, 16 * MB];
+
+fn print_row(name: &str, mut latency: impl FnMut(usize, u64) -> sim_core::SimDuration) {
+    let cells: Vec<String> = SIZES
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| format!("{:>12.3}ms", latency(i, size).as_millis_f64()))
+        .collect();
+    println!("{name:<12} {}", cells.join(" "));
+}
+
 fn main() {
-    let mut ssd = SsdModel::ymp();
     let mut disk = DiskModel::ymp();
     let mut tape = TapeModel::mss();
 
     println!("Latency to fetch a data slab from each tier (cold, then warm):\n");
     println!("{:<12} {:>14} {:>14} {:>14}", "tier", "64 KB", "1 MB", "16 MB");
 
+    // §6.3 treats the SSD as a huge main-memory cache with a per-access
+    // penalty and no positioning cost: the simulator's SSD cache tier.
+    print_row("ssd", |_, size| CacheTier::Ssd.access_penalty(size));
     for (name, dev) in [
-        ("ssd", &mut ssd as &mut dyn BlockDevice),
         ("disk", &mut disk as &mut dyn BlockDevice),
         ("mss-tape", &mut tape as &mut dyn BlockDevice),
     ] {
-        let mut cells = Vec::new();
-        for (i, size) in [64 * 1024u64, MB, 16 * MB].iter().enumerate() {
-            // Jump to a fresh region each time: worst-case positioning.
-            let t = dev.access(
+        // Jump to a fresh region each time: worst-case positioning.
+        print_row(name, |i, size| {
+            dev.access(
                 SimTime::from_secs(i as u64),
                 AccessKind::Read,
                 (i as u64 + 1) * 100 * MB,
-                *size,
-            );
-            cells.push(format!("{:>12.3}ms", t.as_millis_f64()));
-        }
-        println!("{name:<12} {}", cells.join(" "));
+                size,
+            )
+        });
     }
 
     println!("\nSequential streaming after positioning (per MB):");
     let warm_disk = disk.access(SimTime::from_secs(10), AccessKind::Read, 300 * MB + 16 * MB, MB);
     let warm_tape = tape.access(SimTime::from_secs(10), AccessKind::Read, 300 * MB + 16 * MB, MB);
-    let warm_ssd = ssd.access(SimTime::from_secs(10), AccessKind::Read, 0, MB);
+    let warm_ssd = CacheTier::Ssd.access_penalty(MB);
     println!(
         "  ssd {:.2} ms | disk {:.1} ms | tape {:.1} ms",
         warm_ssd.as_millis_f64(),

@@ -112,16 +112,16 @@ USAGE:
   mio stats  (--socket PATH | --tcp ADDR) [--prom]
 
 RUN OPTIONS (each flag's environment default in parentheses):
-  --threads N             sweep threads (MILLER_THREADS, RAYON_NUM_THREADS; all cores)
-  --shards N              sharded-engine threads (MILLER_SHARDS; 1)
-  --trace-dir DIR         trace spill and cache directory (MILLER_TRACE_DIR)
-  --trace-mem-budget MB   resident trace budget (MILLER_TRACE_MEM_BUDGET; unbounded)
-  --devices ERA           paper, 1991 or modern (MILLER_DEVICES; paper)
-  --progress              sweep heartbeat on stderr (MILLER_PROGRESS)
-  --timeline NS           gauge sample interval, simulated ns (MILLER_TIMELINE)
-  --timeline-out FILE     timeline JSON output (MILLER_TIMELINE_OUT)
-  --profile FILE          Perfetto trace output (MILLER_PROFILE)
-  --profile-capacity N    flight-recorder events (MILLER_PROFILE_CAPACITY; 1048576)
+  --threads N             sweep threads (all cores)
+  --shards N              sharded-engine threads (1)
+  --trace-dir DIR         trace spill and cache directory
+  --trace-mem-budget MB   resident trace budget (unbounded)
+  --devices ERA           paper, 1991 or modern (paper)
+  --progress              sweep heartbeat on stderr
+  --timeline NS           gauge sample interval, simulated ns
+  --timeline-out FILE     timeline JSON output
+  --profile FILE          Perfetto trace output
+  --profile-capacity N    flight-recorder events (1048576)
 Same options + same seed => byte-identical --json output at any --threads or --shards.
 ";
 
