@@ -1,5 +1,6 @@
-//! A recency index: O(1) touch / remove / evict-least-recent, used both
-//! globally and per owning process.
+//! A recency index: O(1) touch / remove / evict-least-recent, used per
+//! owning process under an ownership cap and by the serving daemon's
+//! result cache.
 //!
 //! The index is an intrusive doubly-linked list threaded through a slab
 //! of nodes (slot indices instead of pointers), plus an [`FxHashMap`]

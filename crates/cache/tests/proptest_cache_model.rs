@@ -478,7 +478,7 @@ impl Model {
 
 /// One operation, with positions in blocks so a case works at either
 /// block size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Op {
     Read(Access),
     Write(Access),
@@ -604,48 +604,179 @@ fn assert_same_state(real: &BlockCache, model: &Model, step: usize) -> Result<()
     Ok(())
 }
 
+/// Drive the real cache and the model with `ops` from a cold start,
+/// comparing outcomes and state after every step and after a final
+/// `flush_all`.
+fn replay(config: CacheConfig, ops: &[Op]) -> Result<(), TestCaseError> {
+    let bs = config.block_size;
+    let mut real = BlockCache::new(config.clone());
+    let mut model = Model::new(config);
+    let mut now = SimTime::ZERO;
+    for (step, op) in ops.iter().enumerate() {
+        now += SimDuration::from_millis(20);
+        match *op {
+            Op::Read(a) => {
+                let (offset, len) = a.bytes(bs);
+                let r = real_read(&mut real, now, a);
+                let m = model.read(now, a.pid, a.file, offset, len);
+                prop_assert_eq!(r, m, "read outcome at step {}", step);
+            }
+            Op::Write(a) => {
+                let (offset, len) = a.bytes(bs);
+                let r = real_write(&mut real, now, a);
+                let m = model.write(now, a.pid, a.file, offset, len);
+                prop_assert_eq!(r, m, "write outcome at step {}", step);
+            }
+            Op::Flush { half_blocks } => {
+                let budget = half_blocks * bs / 2;
+                prop_assert_eq!(
+                    real.has_flushable(now),
+                    model.next_flush_ready().is_some_and(|r| r <= now)
+                );
+                let r = real.take_flush_batch(now, budget);
+                let m = model.take_flush_batch(now, budget);
+                prop_assert_eq!(r, m, "flush batch at step {}", step);
+            }
+            Op::Wait { ms } => now += SimDuration::from_millis(ms),
+        }
+        assert_same_state(&real, &model, step)?;
+    }
+    prop_assert_eq!(real.flush_all(), model.flush_all());
+    assert_same_state(&real, &model, ops.len())?;
+    prop_assert_eq!(real.dirty_bytes(), 0);
+    Ok(())
+}
+
+/// Long runs first, then mostly short accesses inside them: hits that
+/// split a run at its front, back or middle, re-reads of whole runs, and
+/// runs of two files laid down alternately, so that neighbours in block
+/// space are not neighbours in recency. The caches hold from a few runs
+/// to all of them, so the splits meet evictions that cross run
+/// boundaries inside one page.
+fn arb_split_case() -> impl Strategy<Value = (CacheConfig, Vec<Op>)> {
+    let access = |blocks: std::ops::Range<u64>| {
+        (1u32..3, 1u32..3, 0u64..48, blocks, 0u64..6).prop_map(
+            |(pid, file, block, blocks, skew)| Access { pid, file, block, blocks, skew },
+        )
+    };
+    let short = prop_oneof![
+        access(1..6).prop_map(Op::Read),
+        access(1..6).prop_map(Op::Read),
+        access(1..6).prop_map(Op::Write),
+        access(12..40).prop_map(Op::Read),
+        (0u64..12).prop_map(|half_blocks| Op::Flush { half_blocks }),
+    ];
+    (
+        prop_oneof![Just(12u64), Just(24u64), Just(48u64), Just(128u64)],
+        prop::sample::select(vec![4u64 * KB, 8 * KB]),
+        any::<bool>(),
+        proptest::collection::vec(access(8..40).prop_map(Op::Read), 1..6),
+        proptest::collection::vec(short, 1..60),
+    )
+        .prop_map(|(blocks, block_size, read_ahead, mut ops, short)| {
+            ops.extend(short);
+            let config = CacheConfig {
+                capacity: blocks * block_size,
+                block_size,
+                read_ahead,
+                write_policy: WritePolicy::WriteBehind,
+                per_process_cap_blocks: None,
+            };
+            (config, ops)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
+    #[test]
     fn run_granular_cache_matches_the_per_block_model(
         config in arb_config(),
         ops in proptest::collection::vec(arb_op(), 1..120),
     ) {
-        let bs = config.block_size;
-        let mut real = BlockCache::new(config.clone());
-        let mut model = Model::new(config);
-        let mut now = SimTime::ZERO;
-        for (step, op) in ops.iter().enumerate() {
-            now += SimDuration::from_millis(20);
-            match *op {
-                Op::Read(a) => {
-                    let (offset, len) = a.bytes(bs);
-                    let r = real_read(&mut real, now, a);
-                    let m = model.read(now, a.pid, a.file, offset, len);
-                    prop_assert_eq!(r, m, "read outcome at step {}", step);
-                }
-                Op::Write(a) => {
-                    let (offset, len) = a.bytes(bs);
-                    let r = real_write(&mut real, now, a);
-                    let m = model.write(now, a.pid, a.file, offset, len);
-                    prop_assert_eq!(r, m, "write outcome at step {}", step);
-                }
-                Op::Flush { half_blocks } => {
-                    let budget = half_blocks * bs / 2;
-                    prop_assert_eq!(
-                        real.has_flushable(now),
-                        model.next_flush_ready().is_some_and(|r| r <= now)
-                    );
-                    let r = real.take_flush_batch(now, budget);
-                    let m = model.take_flush_batch(now, budget);
-                    prop_assert_eq!(r, m, "flush batch at step {}", step);
-                }
-                Op::Wait { ms } => now += SimDuration::from_millis(ms),
-            }
-            assert_same_state(&real, &model, step)?;
-        }
-        prop_assert_eq!(real.flush_all(), model.flush_all());
-        assert_same_state(&real, &model, ops.len())?;
-        prop_assert_eq!(real.dirty_bytes(), 0);
+        replay(config, &ops)?;
     }
+
+    #[test]
+    fn extent_splits_and_rejoins_match_the_per_block_model(case in arb_split_case()) {
+        replay(case.0, &case.1)?;
+    }
+}
+
+fn read(pid: u32, file: u32, block: u64, blocks: u64) -> Op {
+    Op::Read(Access { pid, file, block, blocks, skew: 0 })
+}
+
+fn write(pid: u32, file: u32, block: u64, blocks: u64) -> Op {
+    Op::Write(Access { pid, file, block, blocks, skew: 0 })
+}
+
+/// Replay a fixed sequence against the model in a cache of `blocks`
+/// blocks, at 4 KB and 8 KB blocks, with and without read-ahead.
+fn scenario(blocks: u64, ops: &[Op]) {
+    for block_size in [4 * KB, 8 * KB] {
+        for read_ahead in [false, true] {
+            let config = CacheConfig {
+                capacity: blocks * block_size,
+                block_size,
+                read_ahead,
+                write_policy: WritePolicy::WriteBehind,
+                per_process_cap_blocks: None,
+            };
+            if let Err(e) = replay(config, ops) {
+                panic!("{block_size}-byte blocks, read-ahead {read_ahead}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_hit_in_the_middle_of_a_run_splits_it_three_ways() {
+    let flush = Op::Flush { half_blocks: 6 };
+    scenario(96, &[read(1, 1, 0, 32), read(1, 2, 0, 4), read(1, 1, 10, 4), flush]);
+    scenario(96, &[write(1, 1, 0, 32), read(1, 2, 0, 4), read(1, 1, 20, 2), read(1, 1, 0, 32)]);
+}
+
+#[test]
+fn a_whole_run_re_read_moves_as_one() {
+    let (a, b) = (read(1, 1, 0, 8), read(1, 2, 0, 8));
+    scenario(32, &[a, b, a, b, a, write(1, 2, 0, 8), a]);
+}
+
+#[test]
+fn interleaved_files_keep_block_neighbours_apart_in_recency() {
+    scenario(
+        24,
+        &[
+            read(1, 1, 0, 4),
+            read(2, 2, 0, 4),
+            read(1, 1, 4, 4),
+            read(2, 2, 4, 4),
+            read(1, 1, 8, 4),
+            read(2, 2, 8, 4),
+            read(1, 1, 2, 8),
+            read(2, 2, 0, 12),
+            read(1, 1, 0, 12),
+            write(1, 1, 3, 6),
+        ],
+    );
+}
+
+#[test]
+fn a_request_larger_than_the_cache_streams_through() {
+    scenario(4, &[read(1, 1, 0, 3), read(1, 1, 0, 16), write(1, 1, 8, 16), read(1, 2, 60, 12)]);
+}
+
+#[test]
+fn eviction_crosses_a_run_boundary_inside_one_page() {
+    scenario(
+        8,
+        &[
+            read(1, 1, 0, 3),
+            write(1, 1, 10, 3),
+            read(1, 1, 20, 2),
+            read(1, 3, 0, 7),
+            read(1, 1, 10, 3),
+        ],
+    );
 }

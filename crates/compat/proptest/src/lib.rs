@@ -3,6 +3,10 @@
 //! macros, range and tuple strategies, `Just`, `prop_map`,
 //! `collection::vec`, `sample::select`, `option::of`, and `any::<bool>()`.
 //!
+//! Like the registry crate, the `PROPTEST_CASES` environment variable
+//! sets the number of cases; here it overrides even an explicit
+//! `with_cases`, so one command can run every property deep.
+//!
 //! Two deliberate simplifications versus the registry crate:
 //! - **no shrinking** — a failing case reports its case index and message
 //!   but is not minimized;
@@ -194,8 +198,10 @@ macro_rules! prop_oneof {
     };
 }
 
-/// Defines `#[test]` functions whose arguments are drawn from
-/// strategies; the body may bail early via `prop_assert*`.
+/// Defines functions whose arguments are drawn from strategies; the body
+/// may bail early via `prop_assert*`. Like the registry crate's macro it
+/// adds no attribute of its own: each property carries its caller's
+/// `#[test]`, so it is registered and run once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)]
@@ -204,7 +210,6 @@ macro_rules! proptest {
      )*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::test_runner::ProptestConfig = $config;
                 $crate::test_runner::run_cases(
@@ -258,11 +263,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
         fn mapped_values_hold_invariant(n in arb_even()) {
             prop_assert_eq!(n % 2, 0);
             prop_assert!(n < 2000, "n was {}", n);
         }
 
+        #[test]
         fn vec_lengths_respect_range(
             v in crate::collection::vec(0u32..10, 2..5),
             flag in any::<bool>(),
@@ -272,12 +279,14 @@ mod tests {
             let _ = flag;
         }
 
+        #[test]
         fn oneof_covers_all_arms(
             pick in prop_oneof![Just(1u8), Just(2u8), (5u8..7)]
         ) {
             prop_assert!(pick == 1 || pick == 2 || pick == 5 || pick == 6);
         }
 
+        #[test]
         fn select_and_option(
             size in prop::sample::select(vec![512u64, 4096]),
             extra in prop::option::of(1u64..4),
@@ -292,8 +301,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "falsified")]
     fn failures_panic_with_case_info() {
-        crate::test_runner::run_cases(
-            ProptestConfig::with_cases(4),
+        crate::test_runner::run_exactly(
+            4,
             "always_fails",
             |_rng| Err(TestCaseError::fail("nope".to_string())),
         );
@@ -302,8 +311,8 @@ mod tests {
     #[test]
     fn cases_are_deterministic_across_runs() {
         let mut first = Vec::new();
-        crate::test_runner::run_cases(
-            ProptestConfig::with_cases(8),
+        crate::test_runner::run_exactly(
+            8,
             "capture",
             |rng| {
                 first.push(rng.next_u64());
@@ -311,8 +320,8 @@ mod tests {
             },
         );
         let mut second = Vec::new();
-        crate::test_runner::run_cases(
-            ProptestConfig::with_cases(8),
+        crate::test_runner::run_exactly(
+            8,
             "capture",
             |rng| {
                 second.push(rng.next_u64());

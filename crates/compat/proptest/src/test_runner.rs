@@ -99,19 +99,46 @@ fn case_seed(test_name: &str, case: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Drive `cases` generated cases, panicking (like a failed `assert!`)
-/// on the first falsified one.
-pub fn run_cases<F>(config: ProptestConfig, test_name: &str, mut case: F)
+/// The case count a `PROPTEST_CASES` value asks for, when it is a
+/// positive number.
+fn cases_from(value: Option<&str>) -> Option<u32> {
+    value?.trim().parse().ok().filter(|&n| n > 0)
+}
+
+/// Drive `config.cases` generated cases, or as many as `PROPTEST_CASES`
+/// asks for, panicking (like a failed `assert!`) on the first falsified
+/// one.
+pub fn run_cases<F>(config: ProptestConfig, test_name: &str, case: F)
 where
     F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
 {
-    for i in 0..config.cases {
+    let cases = cases_from(std::env::var("PROPTEST_CASES").ok().as_deref());
+    run_exactly(cases.unwrap_or(config.cases), test_name, case);
+}
+
+/// [`run_cases`] with a fixed case count.
+pub(crate) fn run_exactly<F>(cases: u32, test_name: &str, mut case: F)
+where
+    F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+{
+    for i in 0..cases {
         let mut rng = TestRng::new(case_seed(test_name, i));
         if let Err(e) = case(&mut rng) {
-            panic!(
-                "proptest `{test_name}` falsified by case {i}/{}: {e}",
-                config.cases
-            );
+            panic!("proptest `{test_name}` falsified by case {i}/{cases}: {e}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cases_from;
+
+    #[test]
+    fn case_override_takes_only_positive_counts() {
+        assert_eq!(cases_from(Some("20000")), Some(20000));
+        assert_eq!(cases_from(Some(" 7\n")), Some(7));
+        assert_eq!(cases_from(Some("0")), None);
+        assert_eq!(cases_from(Some("many")), None);
+        assert_eq!(cases_from(None), None);
     }
 }

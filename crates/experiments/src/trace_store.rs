@@ -47,18 +47,18 @@
 //!
 //! When a spill directory is configured explicitly, frame files double
 //! as a persistent trace cache: a later run with the same directory
-//! reuses them instead of regenerating (block checksums catch
-//! corruption; a damaged file is silently regenerated).
+//! reuses them instead of regenerating (every block checksum is verified
+//! on reopen; a damaged file is silently regenerated).
 
 use crate::runner::{scaled_spec, Scale};
 use iosim::{EventSource, ProcessFeed};
 use iotrace::stream_v2::{write_frame_file_with, FrameFile};
-use iotrace::{IoEvent, Trace, TraceError, TraceItem};
+use iotrace::{IoEvent, Trace, TraceError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, Weak};
-use workload::{generate, AppKind};
+use workload::{generate_parts, AppKind, Comments};
 
 /// Events per block in spilled frame files. Smaller than the codec's
 /// default 4096 on purpose: the block is the streaming replay's unit of
@@ -95,24 +95,12 @@ impl Key {
 #[derive(Debug)]
 pub struct TraceArtifact {
     events: Arc<[IoEvent]>,
-    comments: Vec<(usize, String)>,
+    comments: Comments,
 }
 
 impl TraceArtifact {
-    pub(crate) fn from_trace(trace: Trace) -> TraceArtifact {
-        let mut events = Vec::new();
-        let mut comments = Vec::new();
-        for item in trace.items() {
-            match item {
-                TraceItem::Io(e) => events.push(*e),
-                TraceItem::Comment(text) => comments.push((events.len(), text.clone())),
-            }
-        }
-        TraceArtifact { events: events.into(), comments }
-    }
-
-    fn from_parts(events: Vec<IoEvent>, comments: Vec<(usize, String)>) -> TraceArtifact {
-        TraceArtifact { events: events.into(), comments }
+    fn from_parts(events: Arc<[IoEvent]>, comments: Comments) -> TraceArtifact {
+        TraceArtifact { events, comments }
     }
 
     /// Reassemble the full trace, comment records included, in original
@@ -230,7 +218,7 @@ impl StoreEntry {
 /// [`DecodedBlock`]'s `Drop`.
 struct SpilledTrace {
     file: FrameFile,
-    comments: Vec<(usize, String)>,
+    comments: Comments,
     counters: Arc<StoreCounters>,
     blocks: Mutex<HashMap<usize, Weak<DecodedBlock>>>,
 }
@@ -566,8 +554,8 @@ impl TraceStore {
             }
         }
         let scale = Scale(key.scale);
-        let trace = generate(&scaled_spec(key.kind, key.pid, scale), key.seed);
-        let art = Arc::new(TraceArtifact::from_trace(trace));
+        let (events, comments) = generate_parts(&scaled_spec(key.kind, key.pid, scale), key.seed);
+        let art = Arc::new(TraceArtifact::from_parts(events, comments));
         if self.config.spill_dir.is_some() {
             // Best effort: persist for later runs even while resident.
             let _ = self.persist(&key, &art);
@@ -665,10 +653,22 @@ impl TraceStore {
         Ok(path)
     }
 
-    /// Open a frame file left by a previous run, if it validates.
+    /// Open a frame file left by a previous run, if it validates. Its
+    /// blocks are decoded lazily later, so each block's checksum is
+    /// verified here: a damaged file is deleted instead, and the caller
+    /// regenerates the trace (and persists it afresh), whose bytes are
+    /// deterministic per key.
     fn try_reopen(&self, key: &Key) -> Option<Arc<SpilledTrace>> {
         let path = self.spill_dir().join(format!("{}.mio2", key.file_stem()));
-        SpilledTrace::open(&path, Arc::clone(&self.counters)).ok().map(Arc::new)
+        let sp = SpilledTrace::open(&path, Arc::clone(&self.counters)).ok()?;
+        let (mut bytes, mut events) = (Vec::new(), Vec::new());
+        let intact = (0..sp.file.index().blocks.len())
+            .all(|i| sp.file.decode_block_into(i, &mut bytes, &mut events).is_ok());
+        if !intact {
+            let _ = std::fs::remove_file(&path);
+            return None;
+        }
+        Some(Arc::new(sp))
     }
 
     fn spill_dir(&self) -> PathBuf {
@@ -697,14 +697,14 @@ fn reload(sp: &SpilledTrace) -> TraceArtifact {
         .file
         .decode_all()
         .expect("spilled trace file decodes (it was validated when opened)");
-    TraceArtifact::from_parts(events, sp.comments.clone())
+    TraceArtifact::from_parts(events.into(), sp.comments.clone())
 }
 
 fn sidecar_path(path: &Path) -> PathBuf {
     path.with_extension("comments")
 }
 
-fn read_comment_sidecar(path: &Path) -> std::io::Result<Vec<(usize, String)>> {
+fn read_comment_sidecar(path: &Path) -> std::io::Result<Comments> {
     let body = std::fs::read_to_string(path)?;
     let mut out = Vec::new();
     for line in body.lines() {
@@ -732,6 +732,7 @@ fn io_error_of(e: TraceError) -> std::io::Error {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use workload::generate;
 
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -924,6 +925,38 @@ mod tests {
             spill_dir: Some(dir.clone()),
         });
         assert_eq!(third.artifact(AppKind::Venus, 1, 11, Scale(16)).trace(), original.trace());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_block_in_a_persisted_file_is_regenerated() {
+        // The footer and index still validate; only block 0's payload
+        // is damaged, which the lazy block decode of a streamed replay
+        // would otherwise meet mid-run.
+        let dir = test_dir("damaged");
+        let config = StoreConfig { mem_budget: Some(1), spill_dir: Some(dir.clone()) };
+        let replay = |store: &TraceStore| {
+            let feed = store.feed(AppKind::Venus, 1, 17, Scale(16));
+            assert!(matches!(feed, ProcessFeed::Streamed(_)), "a 1-byte budget streams");
+            drain(feed)
+        };
+        let fresh = generate(&scaled_spec(AppKind::Venus, 1, Scale(16)), 17);
+        let expected: Vec<IoEvent> = fresh.events().copied().collect();
+        assert_eq!(replay(&TraceStore::with_config(config.clone())), expected);
+
+        let frame = dir.join("venus-p1-s17-x16.mio2");
+        let mut bytes = std::fs::read(&frame).expect("persisted frame file");
+        bytes[200] ^= 0xff;
+        std::fs::write(&frame, &bytes).expect("damage");
+        assert!(FrameFile::open(&frame).is_ok(), "the damage is inside a block");
+
+        assert_eq!(replay(&TraceStore::with_config(config)), expected, "streamed reopen");
+        let resident = TraceStore::with_config(StoreConfig {
+            mem_budget: None,
+            spill_dir: Some(dir.clone()),
+        });
+        std::fs::write(&frame, &bytes).expect("damage again");
+        assert_eq!(resident.artifact(AppKind::Venus, 1, 17, Scale(16)).trace(), fresh, "reload");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -939,6 +939,26 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_cache_is_served_without_reserving_memory_for_it() {
+        // A cache's memory follows the blocks its trace touches, not the
+        // configured capacity: the largest accepted capacity runs like
+        // any other point and the worker answers the next request.
+        let engine = quick_engine(1, 4);
+        let fig8 = |cache_mb| {
+            RequestBody::Fig8Point(Fig8PointSpec { cache_mb, block: 4096, scale: 64, seed: 42 })
+        };
+        for body in [fig8(u64::MAX / MB), fig8(10_000_000), fig8(8)] {
+            let served = engine
+                .submit("a", &body)
+                .expect("admitted")
+                .wait_timeout(Duration::from_secs(120))
+                .expect("answered");
+            assert!(served.is_ok(), "{body:?}: {served:?}");
+        }
+        assert_eq!(engine.completed(), 3);
+    }
+
+    #[test]
     fn a_panicking_job_fails_its_waiters_and_the_worker_keeps_serving() {
         // No pool workers: both submissions queue before the worker below
         // starts, so the duplicate coalesces onto the first.

@@ -52,6 +52,7 @@ proptest! {
 
     /// Concurrency-4 shuffled streams against worker counts {1, 2, 7}:
     /// every response must equal its sequential one-shot bytes.
+    #[test]
     fn shuffled_concurrent_streams_match_one_shot_runs(
         stream in proptest::collection::vec(0usize..6, 4..16),
     ) {

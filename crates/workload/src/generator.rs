@@ -8,19 +8,76 @@
 //! is how forma re-reads its array multiple times per cycle and how every
 //! app reproduces "essentially identical" per-cycle reference patterns
 //! (§5.3).
+//!
+//! One walk over the spec emits the records into a [`Sink`]. Which
+//! requests a spec makes never depends on the clocks, so a counting pass
+//! that skips them, and counts whole runs of chunks at a time, sizes the
+//! event slice [`generate_parts`] fills in a second, timed pass: each
+//! trace is allocated once, at its exact size.
 
 use crate::spec::{AppSpec, SweepOrder};
 use iotrace::{Direction, IoEvent, Synchrony, Trace};
 use sim_core::{SimDuration, SimRng, SimTime};
+use std::mem::MaybeUninit;
+use std::sync::Arc;
 
 /// Wall-clock cost of *issuing* an asynchronous request (the process does
 /// not wait for the data; les's pattern).
 const ASYNC_ISSUE: SimDuration = SimDuration::from_micros(200);
 
-struct Clocks {
-    wall: SimTime,
-    cpu_since_io: SimDuration,
-    cpu_total: SimDuration,
+/// Comment records as `(index of the event each precedes, text)`.
+pub type Comments = Vec<(usize, String)>;
+
+/// Where one generation pass puts the records it emits.
+trait Sink {
+    /// Whether the pass wants times and comments. A counting pass does
+    /// not, and skips the clocks and their random draws.
+    const TIMED: bool;
+    fn event(&mut self, ev: IoEvent);
+    fn comment(&mut self, text: String);
+}
+
+/// The counting pass: it keeps nothing.
+struct Count;
+
+impl Sink for Count {
+    const TIMED: bool = false;
+
+    fn event(&mut self, _: IoEvent) {}
+
+    fn comment(&mut self, _: String) {}
+}
+
+impl Sink for Trace {
+    const TIMED: bool = true;
+
+    fn event(&mut self, ev: IoEvent) {
+        self.push(ev);
+    }
+
+    fn comment(&mut self, text: String) {
+        self.push_comment(text);
+    }
+}
+
+/// Fills a slice sized by a [`Count`] pass, in order.
+struct Fill<'a> {
+    slots: std::slice::IterMut<'a, MaybeUninit<IoEvent>>,
+    written: usize,
+    comments: Comments,
+}
+
+impl Sink for Fill<'_> {
+    const TIMED: bool = true;
+
+    fn event(&mut self, ev: IoEvent) {
+        self.slots.next().expect("the counting pass sized the slice").write(ev);
+        self.written += 1;
+    }
+
+    fn comment(&mut self, text: String) {
+        self.comments.push((self.written, text));
+    }
 }
 
 struct Cursors {
@@ -37,22 +94,63 @@ struct Cursors {
     rot_write: usize,
 }
 
+/// One generation pass: the spec, its clocks and cursors, and the sink.
+struct Gen<'a, S> {
+    spec: &'a AppSpec,
+    rng: SimRng,
+    wall: SimTime,
+    cpu_since_io: SimDuration,
+    cpu_total: SimDuration,
+    /// Events emitted so far.
+    events: usize,
+    /// The last request length and its completion time: requests within
+    /// a stream share one size (§5.2), so this spares most conversions.
+    completion: (u64, SimDuration),
+    sink: S,
+}
+
 /// Generate the complete logical trace for `spec`, deterministically from
 /// `seed`.
 pub fn generate(spec: &AppSpec, seed: u64) -> Trace {
-    spec.validate();
-    let mut rng = SimRng::new(seed ^ spec.pid as u64);
-    let mut trace = Trace::new();
-    trace.push_comment(format!("app {} pid {} seed {seed}", spec.name, spec.pid));
-    for f in &spec.files {
-        trace.push_comment(format!("fileId {} = {} ({} bytes)", f.id, f.name, f.size));
-    }
+    walk(spec, seed, Trace::new()).0
+}
 
-    let mut clocks = Clocks {
+/// [`generate`] as its parts: the events, in one slice allocated once at
+/// its exact size, and the comments. The trace store keeps these.
+pub fn generate_parts(spec: &AppSpec, seed: u64) -> (Arc<[IoEvent]>, Comments) {
+    let n = walk(spec, seed, Count).1;
+    let mut events = Arc::<[IoEvent]>::new_uninit_slice(n);
+    let comments = {
+        let slots = Arc::get_mut(&mut events).expect("a new slice is unshared");
+        let fill = Fill { slots: slots.iter_mut(), written: 0, comments: Vec::new() };
+        let (fill, _) = walk(spec, seed, fill);
+        assert_eq!(fill.written, n, "both passes emit the same events");
+        fill.comments
+    };
+    // SAFETY: the fill pass wrote each of the `n` slots, in order, once.
+    (unsafe { events.assume_init() }, comments)
+}
+
+/// Walk `spec` once, emitting its records into `sink`; returns the sink
+/// and how many events went into it.
+fn walk<S: Sink>(spec: &AppSpec, seed: u64, sink: S) -> (S, usize) {
+    spec.validate();
+    let mut g = Gen {
+        spec,
+        rng: SimRng::new(seed ^ spec.pid as u64),
         wall: SimTime::ZERO,
         cpu_since_io: SimDuration::ZERO,
         cpu_total: SimDuration::ZERO,
+        events: 0,
+        completion: (0, spec.latency.completion(0)),
+        sink,
     };
+    if S::TIMED {
+        g.sink.comment(format!("app {} pid {} seed {seed}", spec.name, spec.pid));
+        for f in &spec.files {
+            g.sink.comment(format!("fileId {} = {} ({} bytes)", f.id, f.name, f.size));
+        }
+    }
     let mut cursors = Cursors {
         read: (0, 0),
         write: (0, 0),
@@ -75,10 +173,7 @@ pub fn generate(spec: &AppSpec, seed: u64) -> Trace {
         let (bytes, io, file) = spec.init_read;
         let n = chunk_count(bytes, io);
         let per_io = init_cpu / n.max(1);
-        emit_stream(
-            spec, &mut trace, &mut clocks, &mut rng, Direction::Read, file, bytes, io, per_io,
-            &mut 0,
-        );
+        g.emit_stream(Direction::Read, file, bytes, io, per_io, &mut 0);
     }
 
     // --- iterative body --------------------------------------------------
@@ -92,37 +187,30 @@ pub fn generate(spec: &AppSpec, seed: u64) -> Trace {
         let per_io_cpu = sweep_cpu / (n_r + n_w).max(1);
 
         for cycle in 0..spec.cycles {
-            compute(&mut clocks, &mut rng, gap_cpu / 2, spec.compute_jitter);
+            g.compute(gap_cpu / 2);
             match spec.cycle.order {
                 SweepOrder::Sequential => {
-                    sweep_sequential(
-                        spec, &mut trace, &mut clocks, &mut rng, Direction::Read,
-                        spec.cycle.read_bytes, spec.cycle.read_io, per_io_cpu, &mut cursors,
-                    );
-                    compute(&mut clocks, &mut rng, gap_cpu / 2, spec.compute_jitter);
-                    sweep_sequential(
-                        spec, &mut trace, &mut clocks, &mut rng, Direction::Write,
-                        spec.cycle.write_bytes, spec.cycle.write_io, per_io_cpu, &mut cursors,
-                    );
+                    let c = &spec.cycle;
+                    g.sweep_sequential(Direction::Read, c.read_bytes, c.read_io, per_io_cpu, &mut cursors);
+                    g.compute(gap_cpu / 2);
+                    g.sweep_sequential(Direction::Write, c.write_bytes, c.write_io, per_io_cpu, &mut cursors);
                 }
                 SweepOrder::Interleaved => {
-                    sweep_interleaved(spec, &mut trace, &mut clocks, &mut rng, per_io_cpu, &mut cursors);
-                    compute(&mut clocks, &mut rng, gap_cpu / 2, spec.compute_jitter);
+                    g.sweep_interleaved(per_io_cpu, &mut cursors);
+                    g.compute(gap_cpu / 2);
                 }
             }
             // --- checkpoint (§5.1, second I/O type) ----------------------
             if let Some(ck) = &spec.checkpoint {
                 if ck.every_cycles > 0 && (cycle + 1) % ck.every_cycles == 0 {
-                    emit_stream(
-                        spec, &mut trace, &mut clocks, &mut rng, Direction::Write, ck.file_id,
-                        ck.bytes, ck.io_size, SimDuration::from_micros(100), &mut 0,
-                    );
+                    let cpu = SimDuration::from_micros(100);
+                    g.emit_stream(Direction::Write, ck.file_id, ck.bytes, ck.io_size, cpu, &mut 0);
                 }
             }
         }
     } else {
         // Compulsory-only programs: one long compute (gcm, upw).
-        compute(&mut clocks, &mut rng, body_cpu, spec.compute_jitter);
+        g.compute(body_cpu);
     }
 
     // --- compulsory final write -----------------------------------------
@@ -130,20 +218,28 @@ pub fn generate(spec: &AppSpec, seed: u64) -> Trace {
         let (bytes, io, file) = spec.final_write;
         let n = chunk_count(bytes, io);
         let per_io = final_cpu / n.max(1);
-        emit_stream(
-            spec, &mut trace, &mut clocks, &mut rng, Direction::Write, file, bytes, io, per_io,
-            &mut 0,
-        );
+        g.emit_stream(Direction::Write, file, bytes, io, per_io, &mut 0);
     }
 
-    trace.push_comment(format!(
-        "end of {}: cpu {:.2}s wall {:.2}s ios {}",
-        spec.name,
-        clocks.cpu_total.as_secs_f64(),
-        clocks.wall.as_secs_f64(),
-        trace.io_count()
-    ));
-    trace
+    if S::TIMED {
+        g.sink.comment(format!(
+            "end of {}: cpu {:.2}s wall {:.2}s ios {}",
+            spec.name,
+            g.cpu_total.as_secs_f64(),
+            g.wall.as_secs_f64(),
+            g.events
+        ));
+    }
+    (g.sink, g.events)
+}
+
+/// `x.round() as u64` for `x >= 0`, without the libm call `round` is on
+/// targets whose baseline has no rounding instruction: the fractional
+/// part of a double is exact, so half-way cases round up, as `round`
+/// rounds them away from zero.
+fn round_ticks(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 fn chunk_count(bytes: u64, io: u64) -> u64 {
@@ -154,177 +250,181 @@ fn chunk_count(bytes: u64, io: u64) -> u64 {
     }
 }
 
-fn compute(clocks: &mut Clocks, rng: &mut SimRng, d: SimDuration, jitter: f64) {
-    if d.is_zero() {
-        return;
-    }
-    let jittered = SimDuration::from_ticks(rng.jitter(d.ticks() as f64, jitter).round() as u64);
-    clocks.wall += jittered;
-    clocks.cpu_since_io += jittered;
-    clocks.cpu_total += jittered;
-}
-
-fn emit(
-    spec: &AppSpec,
-    trace: &mut Trace,
-    clocks: &mut Clocks,
-    dir: Direction,
-    file_id: u32,
-    offset: u64,
-    length: u64,
-) {
-    let completion = spec.latency.completion(length);
-    let mut ev = IoEvent::logical(
-        dir,
-        spec.pid,
-        file_id,
-        offset,
-        length,
-        clocks.wall,
-        clocks.cpu_since_io,
-    );
-    ev.sync = spec.sync;
-    ev.completion = completion;
-    trace.push(ev);
-    clocks.cpu_since_io = SimDuration::ZERO;
-    // Synchronous apps stall on the wall clock for the completion;
-    // asynchronous ones (les) pay only the issue cost.
-    clocks.wall += match spec.sync {
-        Synchrony::Sync => completion,
-        Synchrony::Async => ASYNC_ISSUE,
-    };
-}
-
-/// Emit a sequential run of `bytes` in `io`-sized chunks against a single
-/// file, wrapping at its size; used for compulsory and checkpoint phases.
-#[allow(clippy::too_many_arguments)] // internal plumbing, not public API
-fn emit_stream(
-    spec: &AppSpec,
-    trace: &mut Trace,
-    clocks: &mut Clocks,
-    rng: &mut SimRng,
-    dir: Direction,
-    file_id: u32,
-    bytes: u64,
-    io: u64,
-    per_io_cpu: SimDuration,
-    cursor: &mut u64,
-) {
-    let size = spec
-        .files
-        .iter()
-        .find(|f| f.id == file_id)
-        .map(|f| f.size)
-        .unwrap_or(u64::MAX);
-    let mut remaining = bytes;
-    while remaining > 0 {
-        let len = remaining.min(io);
-        if *cursor + len > size {
-            *cursor = 0;
+impl<S: Sink> Gen<'_, S> {
+    fn compute(&mut self, d: SimDuration) {
+        if !S::TIMED || d.is_zero() {
+            return;
         }
-        compute(clocks, rng, per_io_cpu, spec.compute_jitter);
-        emit(spec, trace, clocks, dir, file_id, *cursor, len);
-        *cursor += len;
-        remaining -= len;
+        let jitter = self.rng.jitter(d.ticks() as f64, self.spec.compute_jitter);
+        let jittered = SimDuration::from_ticks(round_ticks(jitter));
+        self.wall += jittered;
+        self.cpu_since_io += jittered;
+        self.cpu_total += jittered;
     }
-}
 
-/// Walk the concatenation of all data files sequentially (file 0, then
-/// file 1, …, wrapping to file 0), emitting `bytes` in `io` chunks.
-#[allow(clippy::too_many_arguments)] // internal plumbing, not public API
-fn sweep_sequential(
-    spec: &AppSpec,
-    trace: &mut Trace,
-    clocks: &mut Clocks,
-    rng: &mut SimRng,
-    dir: Direction,
-    bytes: u64,
-    io: u64,
-    per_io_cpu: SimDuration,
-    cursors: &mut Cursors,
-) {
-    let cur = if dir == Direction::Read { &mut cursors.read } else { &mut cursors.write };
-    let mut remaining = bytes;
-    while remaining > 0 {
-        let file = &spec.files[cur.0 % spec.files.len()];
-        let room = file.size.saturating_sub(cur.1);
-        if room == 0 {
-            cur.0 = (cur.0 + 1) % spec.files.len();
-            cur.1 = 0;
-            continue;
+    fn emit(&mut self, dir: Direction, file_id: u32, offset: u64, length: u64) {
+        self.events += 1;
+        let spec = self.spec;
+        if self.completion.0 != length {
+            self.completion = (length, spec.latency.completion(length));
         }
-        let len = remaining.min(io).min(room);
-        compute(clocks, rng, per_io_cpu, spec.compute_jitter);
-        emit(spec, trace, clocks, dir, file.id, cur.1, len);
-        cur.1 += len;
-        remaining -= len;
-    }
-}
-
-/// venus's pattern: reads and writes interleaved across files in short
-/// *runs* of consecutive chunks. Runs keep each file's stream sequential
-/// (the property §4.2 relies on for compression) while the request mix
-/// rotates across all six staging files within every cycle.
-fn sweep_interleaved(
-    spec: &AppSpec,
-    trace: &mut Trace,
-    clocks: &mut Clocks,
-    rng: &mut SimRng,
-    per_io_cpu: SimDuration,
-    cursors: &mut Cursors,
-) {
-    let run = spec.cycle.interleave_run.max(1) as u64;
-    let n_r = chunk_count(spec.cycle.read_bytes, spec.cycle.read_io);
-    let n_w = chunk_count(spec.cycle.write_bytes, spec.cycle.write_io);
-    let runs_r = n_r.div_ceil(run);
-    let runs_w = n_w.div_ceil(run);
-    let total_runs = runs_r + runs_w;
-    let mut acc_r: i64 = 0;
-    let mut remaining_r = spec.cycle.read_bytes;
-    let mut remaining_w = spec.cycle.write_bytes;
-    for _ in 0..total_runs {
-        acc_r += runs_r as i64;
-        let do_read = (acc_r >= total_runs as i64 && remaining_r > 0) || remaining_w == 0;
-        if acc_r >= total_runs as i64 {
-            acc_r -= total_runs as i64;
-        }
-        let (dir, remaining, io, rot, pf) = if do_read {
-            (
-                Direction::Read,
-                &mut remaining_r,
-                spec.cycle.read_io,
-                &mut cursors.rot_read,
-                &mut cursors.per_file_read,
-            )
-        } else {
-            (
-                Direction::Write,
-                &mut remaining_w,
-                spec.cycle.write_io,
-                &mut cursors.rot_write,
-                &mut cursors.per_file_write,
-            )
+        let completion = self.completion.1;
+        let mut ev =
+            IoEvent::logical(dir, spec.pid, file_id, offset, length, self.wall, self.cpu_since_io);
+        ev.sync = spec.sync;
+        ev.completion = completion;
+        self.sink.event(ev);
+        self.cpu_since_io = SimDuration::ZERO;
+        // Synchronous apps stall on the wall clock for the completion;
+        // asynchronous ones (les) pay only the issue cost.
+        self.wall += match spec.sync {
+            Synchrony::Sync => completion,
+            Synchrony::Async => ASYNC_ISSUE,
         };
-        if *remaining == 0 {
-            continue;
+    }
+
+    /// Emit a sequential run of `bytes` in `io`-sized chunks against a
+    /// single file, wrapping at its size; used for compulsory and
+    /// checkpoint phases.
+    fn emit_stream(
+        &mut self,
+        dir: Direction,
+        file_id: u32,
+        bytes: u64,
+        io: u64,
+        per_io_cpu: SimDuration,
+        cursor: &mut u64,
+    ) {
+        if !S::TIMED {
+            self.events += chunk_count(bytes, io) as usize;
+            return;
         }
-        let fi = *rot % spec.files.len();
-        *rot += 1;
-        let file = &spec.files[fi];
-        for _ in 0..run {
+        let size = self
+            .spec
+            .files
+            .iter()
+            .find(|f| f.id == file_id)
+            .map(|f| f.size)
+            .unwrap_or(u64::MAX);
+        let mut remaining = bytes;
+        while remaining > 0 {
+            let len = remaining.min(io);
+            if *cursor + len > size {
+                *cursor = 0;
+            }
+            self.compute(per_io_cpu);
+            self.emit(dir, file_id, *cursor, len);
+            *cursor += len;
+            remaining -= len;
+        }
+    }
+
+    /// Walk the concatenation of all data files sequentially (file 0,
+    /// then file 1, …, wrapping to file 0), emitting `bytes` in `io`
+    /// chunks.
+    fn sweep_sequential(
+        &mut self,
+        dir: Direction,
+        bytes: u64,
+        io: u64,
+        per_io_cpu: SimDuration,
+        cursors: &mut Cursors,
+    ) {
+        let files = &self.spec.files[..];
+        let cur = if dir == Direction::Read { &mut cursors.read } else { &mut cursors.write };
+        let mut remaining = bytes;
+        while remaining > 0 {
+            let file = &files[cur.0 % files.len()];
+            let room = file.size.saturating_sub(cur.1);
+            if room == 0 {
+                cur.0 = (cur.0 + 1) % files.len();
+                cur.1 = 0;
+                continue;
+            }
+            if !S::TIMED {
+                // The chunks up to the end of the file or of the sweep.
+                let take = remaining.min(room);
+                self.events += take.div_ceil(io) as usize;
+                cur.1 += take;
+                remaining -= take;
+                continue;
+            }
+            let len = remaining.min(io).min(room);
+            self.compute(per_io_cpu);
+            self.emit(dir, file.id, cur.1, len);
+            cur.1 += len;
+            remaining -= len;
+        }
+    }
+
+    /// venus's pattern: reads and writes interleaved across files in
+    /// short *runs* of consecutive chunks. Runs keep each file's stream
+    /// sequential (the property §4.2 relies on for compression) while the
+    /// request mix rotates across all six staging files within every
+    /// cycle.
+    fn sweep_interleaved(&mut self, per_io_cpu: SimDuration, cursors: &mut Cursors) {
+        let spec = self.spec;
+        let run = spec.cycle.interleave_run.max(1) as u64;
+        let n_r = chunk_count(spec.cycle.read_bytes, spec.cycle.read_io);
+        let n_w = chunk_count(spec.cycle.write_bytes, spec.cycle.write_io);
+        let runs_r = n_r.div_ceil(run);
+        let runs_w = n_w.div_ceil(run);
+        let total_runs = runs_r + runs_w;
+        let mut acc_r: i64 = 0;
+        let mut remaining_r = spec.cycle.read_bytes;
+        let mut remaining_w = spec.cycle.write_bytes;
+        for _ in 0..total_runs {
+            acc_r += runs_r as i64;
+            let do_read = (acc_r >= total_runs as i64 && remaining_r > 0) || remaining_w == 0;
+            if acc_r >= total_runs as i64 {
+                acc_r -= total_runs as i64;
+            }
+            let (dir, remaining, io, rot, pf) = if do_read {
+                (
+                    Direction::Read,
+                    &mut remaining_r,
+                    spec.cycle.read_io,
+                    &mut cursors.rot_read,
+                    &mut cursors.per_file_read,
+                )
+            } else {
+                (
+                    Direction::Write,
+                    &mut remaining_w,
+                    spec.cycle.write_io,
+                    &mut cursors.rot_write,
+                    &mut cursors.per_file_write,
+                )
+            };
             if *remaining == 0 {
-                break;
+                continue;
             }
-            let mut off = pf[fi];
-            let mut len = (*remaining).min(io);
-            if off + len > file.size {
-                off = 0;
+            let fi = *rot % spec.files.len();
+            *rot += 1;
+            let file = &spec.files[fi];
+            if !S::TIMED {
+                // Every chunk of the run but a last short one is full.
+                let full = io.min(file.size);
+                let k = if full == 0 { run } else { run.min(remaining.div_ceil(full)) };
+                self.events += k as usize;
+                *remaining -= (*remaining).min(k * full);
+                continue;
             }
-            len = len.min(file.size);
-            compute(clocks, rng, per_io_cpu, spec.compute_jitter);
-            emit(spec, trace, clocks, dir, file.id, off, len);
-            pf[fi] = off + len;
-            *remaining -= len;
+            for _ in 0..run {
+                if *remaining == 0 {
+                    break;
+                }
+                let mut off = pf[fi];
+                let mut len = (*remaining).min(io);
+                if off + len > file.size {
+                    off = 0;
+                }
+                len = len.min(file.size);
+                self.compute(per_io_cpu);
+                self.emit(dir, file.id, off, len);
+                pf[fi] = off + len;
+                *remaining -= len;
+            }
         }
     }
 }
@@ -542,6 +642,43 @@ mod tests {
                     f.size
                 );
             }
+        }
+    }
+
+    #[test]
+    fn parts_reassemble_the_trace() {
+        let mut specs: Vec<AppSpec> = crate::ALL_APPS.iter().map(|k| k.spec(3)).collect();
+        let mut ckpt = toy_spec(SweepOrder::Sequential);
+        ckpt.checkpoint =
+            Some(CheckpointDef { bytes: MB, io_size: 384 * KB, every_cycles: 3, file_id: 50 });
+        // Chunks larger than a file and sweeps ending mid-file.
+        ckpt.files[1].size = 200 * KB;
+        ckpt.cycle.read_bytes = 3 * MB + 5 * KB;
+        specs.push(ckpt);
+        let mut inter = toy_spec(SweepOrder::Interleaved);
+        inter.cycle.interleave_run = 3;
+        inter.files[0].size = 100 * KB;
+        specs.push(inter);
+        for spec in &specs {
+            let trace = generate(spec, 11);
+            let (events, comments) = generate_parts(spec, 11);
+            let mut rebuilt = Trace::new();
+            let mut comments = comments.into_iter().peekable();
+            for (i, e) in events.iter().enumerate() {
+                while let Some((_, text)) = comments.next_if(|(at, _)| *at <= i) {
+                    rebuilt.push_comment(text);
+                }
+                rebuilt.push(*e);
+            }
+            comments.for_each(|(_, text)| rebuilt.push_comment(text));
+            assert_eq!(rebuilt, trace, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn round_ticks_matches_round() {
+        for x in [0.0, 0.49999999999999994, 0.5, 1.5, 2.5, 7.499999, 1e15 + 0.5, 9.1e15] {
+            assert_eq!(round_ticks(x), x.round() as u64, "{x}");
         }
     }
 

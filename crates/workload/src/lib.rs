@@ -23,5 +23,5 @@ pub mod generator;
 pub mod spec;
 
 pub use apps::{paper_targets, AppKind, PaperTargets, ALL_APPS};
-pub use generator::generate;
+pub use generator::{generate, generate_parts, Comments};
 pub use spec::{AppSpec, CheckpointDef, CycleDef, FileDef, LatencyModel, SweepOrder};

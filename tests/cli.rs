@@ -143,3 +143,30 @@ fn serve_rejects_timeline_flags() {
     }
     assert!(!std::path::Path::new(&sock).exists(), "rejected before binding");
 }
+
+#[test]
+fn a_damaged_persisted_frame_file_is_regenerated() {
+    // A frame file left in --trace-dir by one run is reopened by the
+    // next. Damage inside a block (header and index intact) must not
+    // panic the rerun: the file is discarded and the trace regenerated,
+    // so the results match byte for byte.
+    let dir = tmp("damaged-trace-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (first, second) = (tmp("damaged-first.json"), tmp("damaged-second.json"));
+    let run = |json: &str| {
+        mio(&[
+            "sim", "--quick", "--fig8-point", "32:4096", "--trace-dir", &dir,
+            "--trace-mem-budget", "1", "--json", json,
+        ])
+    };
+    let (_, err, ok) = run(&first);
+    assert!(ok, "first run failed: {err}");
+    let frame = std::path::Path::new(&dir).join("venus-p1-s42-x8.mio2");
+    let mut bytes = std::fs::read(&frame).expect("persisted frame file");
+    bytes[200] ^= 0xff;
+    std::fs::write(&frame, bytes).expect("damage the frame file");
+    let (_, err, ok) = run(&second);
+    assert!(ok, "rerun over a damaged frame file failed: {err}");
+    assert_eq!(std::fs::read(&first).expect("first"), std::fs::read(&second).expect("second"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
