@@ -487,6 +487,9 @@ enum Op {
     Flush { half_blocks: u64 },
     /// Let simulated time pass (delayed writes age).
     Wait { ms: u64 },
+    /// Stop the clock: the next operation runs at the same instant as the
+    /// one before this (every other step advances it 20 ms first).
+    Hold,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -544,6 +547,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_access().prop_map(Op::Write),
         (0u64..12).prop_map(|half_blocks| Op::Flush { half_blocks }),
         (1u64..200).prop_map(|ms| Op::Wait { ms }),
+        Just(Op::Hold),
     ]
 }
 
@@ -612,8 +616,13 @@ fn replay(config: CacheConfig, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut real = BlockCache::new(config.clone());
     let mut model = Model::new(config);
     let mut now = SimTime::ZERO;
+    let mut held = false;
     for (step, op) in ops.iter().enumerate() {
-        now += SimDuration::from_millis(20);
+        let hold = matches!(op, Op::Hold);
+        if !(held || hold) {
+            now += SimDuration::from_millis(20);
+        }
+        held = hold;
         match *op {
             Op::Read(a) => {
                 let (offset, len) = a.bytes(bs);
@@ -638,6 +647,7 @@ fn replay(config: CacheConfig, ops: &[Op]) -> Result<(), TestCaseError> {
                 prop_assert_eq!(r, m, "flush batch at step {}", step);
             }
             Op::Wait { ms } => now += SimDuration::from_millis(ms),
+            Op::Hold => {}
         }
         assert_same_state(&real, &model, step)?;
     }
@@ -711,16 +721,21 @@ fn write(pid: u32, file: u32, block: u64, blocks: u64) -> Op {
     Op::Write(Access { pid, file, block, blocks, skew: 0 })
 }
 
-/// Replay a fixed sequence against the model in a cache of `blocks`
-/// blocks, at 4 KB and 8 KB blocks, with and without read-ahead.
+/// Replay a fixed sequence against the model in a write-behind cache of
+/// `blocks` blocks, at 4 KB and 8 KB blocks, with and without read-ahead.
 fn scenario(blocks: u64, ops: &[Op]) {
+    scenario_under(WritePolicy::WriteBehind, blocks, ops);
+}
+
+/// [`scenario`] under `write_policy`.
+fn scenario_under(write_policy: WritePolicy, blocks: u64, ops: &[Op]) {
     for block_size in [4 * KB, 8 * KB] {
         for read_ahead in [false, true] {
             let config = CacheConfig {
                 capacity: blocks * block_size,
                 block_size,
                 read_ahead,
-                write_policy: WritePolicy::WriteBehind,
+                write_policy,
                 per_process_cap_blocks: None,
             };
             if let Err(e) = replay(config, ops) {
@@ -777,6 +792,86 @@ fn eviction_crosses_a_run_boundary_inside_one_page() {
             read(1, 1, 20, 2),
             read(1, 3, 0, 7),
             read(1, 1, 10, 3),
+        ],
+    );
+}
+
+fn flush(half_blocks: u64) -> Op {
+    Op::Flush { half_blocks }
+}
+
+#[test]
+fn a_budget_ending_on_a_segments_last_valid_block_leaves_stale_entries_queued() {
+    // Blocks 0..4 of file 1 are re-read, so file 2 evicts 4..8 and their
+    // flush entries go stale behind the four valid ones. A four-block
+    // budget ends on block 3; entries 4..8 stay queued until the next
+    // batch skips them.
+    let ops = [write(1, 1, 0, 8), read(1, 1, 0, 4), read(1, 2, 0, 4), flush(8)];
+    scenario(8, &ops);
+    scenario(8, &[&ops[..], &[flush(2), write(1, 1, 8, 2), flush(2)]].concat());
+}
+
+#[test]
+fn a_budget_that_is_not_a_whole_number_of_blocks_takes_whole_blocks() {
+    // Re-reading blocks 2..4 makes file 2 evict 0, 1, 4 and 5, so valid
+    // and stale entries alternate in one segment. Budgets of 1.5, 2.5
+    // and 5.5 blocks take 1, 2 and the last valid block.
+    scenario(
+        8,
+        &[
+            write(1, 1, 0, 8),
+            read(1, 1, 2, 2),
+            read(1, 2, 0, 4),
+            flush(3),
+            flush(5),
+            flush(11),
+            flush(1),
+        ],
+    );
+}
+
+#[test]
+fn one_batch_spans_two_files_and_merges_adjacent_runs() {
+    // Queued out of block order: file 1's two runs join into one range
+    // around file 2's, and file 3's write crosses an index page, so its
+    // two segments join too.
+    let ops =
+        [write(1, 1, 0, 4), write(1, 2, 0, 4), write(1, 1, 4, 4), write(1, 3, 60, 8), flush(48)];
+    scenario(32, &ops);
+    // The same under a budget that ends inside the page-crossing run.
+    scenario(32, &[&ops[..4], &[flush(21), flush(48)]].concat());
+}
+
+#[test]
+fn a_block_evicted_dirty_and_re_installed_dirty_is_flushed_once() {
+    // At the same instant, the re-installed block carries its old flush
+    // entry's stamp again, so that entry takes it and the new entry goes
+    // stale. At a later instant the old entry is the stale one.
+    let evict_and_rewrite = |gap: Op| {
+        [write(1, 1, 0, 4), gap, read(1, 2, 0, 2), gap, write(1, 1, 0, 2), flush(4), flush(12)]
+    };
+    scenario(4, &evict_and_rewrite(Op::Hold));
+    scenario(4, &evict_and_rewrite(Op::Wait { ms: 5 }));
+}
+
+#[test]
+fn delayed_writes_flush_only_the_runs_that_are_ready() {
+    // Under a 150 ms delay the first two runs age past it before the
+    // third, so the first batches take only the front of the queue.
+    scenario_under(
+        WritePolicy::Delayed(SimDuration::from_millis(150)),
+        32,
+        &[
+            write(1, 1, 0, 4),
+            write(1, 2, 0, 4),
+            Op::Wait { ms: 100 },
+            write(1, 1, 4, 4),
+            Op::Wait { ms: 20 },
+            flush(48),
+            flush(48),
+            Op::Wait { ms: 120 },
+            flush(3),
+            flush(48),
         ],
     );
 }
