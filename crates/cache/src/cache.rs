@@ -127,6 +127,21 @@ fn run_range(i: u64, k: u64) -> std::ops::Range<usize> {
     i as usize..(i + k) as usize
 }
 
+/// The stretches of set bits in a page bitmap, lowest first, as
+/// `(first bit, length)`.
+#[inline]
+fn stretches(mut mask: u64) -> impl Iterator<Item = (u64, u64)> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let i = u64::from(mask.trailing_zeros());
+        let len = u64::from((!(mask >> i)).trailing_zeros());
+        mask &= !run_mask(i, len);
+        Some((i, len))
+    })
+}
+
 #[derive(Debug)]
 struct Page {
     /// Owning page key; hinted lookups check it to self-validate.
@@ -208,13 +223,6 @@ impl PagedIndex {
     #[inline]
     fn count_unhinted(&self, n: u64) {
         self.probes_unhinted.set(self.probes_unhinted.get() + n);
-    }
-
-    /// The lookup of block `b` of `file_id`, resolving its page: one
-    /// probe. Returns the page slot, or `NO_PAGE`.
-    #[inline]
-    fn lookup(&self, file_id: u32, b: u64, hint: &mut u32) -> u32 {
-        self.find_page((file_id, b >> PAGE_SHIFT), hint).unwrap_or(NO_PAGE)
     }
 
     /// The page that blocks about to be installed go into: one probe,
@@ -336,7 +344,7 @@ impl Runs {
         }
         if self.lookup_due || b > self.seg_last {
             self.seg_last = self.last.min(b | PAGE_MASK);
-            self.page = index.lookup(self.file_id, b, hint);
+            self.page = index.find_page((self.file_id, b >> PAGE_SHIFT), hint).unwrap_or(NO_PAGE);
         } else {
             index.count_hinted(1);
         }
@@ -470,8 +478,6 @@ pub struct BlockCache {
     dirty_blocks: u64,
     /// Per (process, file) sequential-read detector state.
     seq: FxHashMap<(u32, u32), SeqTrack>,
-    /// Scratch for flush-batch block keys, reused across batches.
-    flush_keys: Vec<Key>,
     /// Scratch for pinned keys skipped while hunting an own-victim,
     /// reused across evictions.
     own_skip: Vec<Key>,
@@ -501,7 +507,6 @@ impl BlockCache {
             flush_q: VecDeque::new(),
             dirty_blocks: 0,
             seq: FxHashMap::default(),
-            flush_keys: Vec::new(),
             own_skip: Vec::new(),
             evict_hint: NO_PAGE,
             stats: CacheStats::default(),
@@ -912,7 +917,7 @@ impl BlockCache {
             if b > first {
                 // This step's first block is looked up after an install,
                 // whose ownership-cap trim may have emptied the page.
-                self.index.lookup(file_id, b, hint);
+                self.index.find_page(pk, hint);
             }
             let want = if self.track_owners { 1 } else { end - b };
             let len = self.index.len() as u64;
@@ -1163,14 +1168,11 @@ impl BlockCache {
     fn dirty_run(&mut self, p: u32, file_id: u32, b: u64, k: u64, now: SimTime) -> u64 {
         let base = b & !PAGE_MASK;
         let pg = &mut self.index.pages[p as usize];
-        let mut clean = run_mask(b & PAGE_MASK, k) & !pg.dirty;
+        let clean = run_mask(b & PAGE_MASK, k) & !pg.dirty;
         pg.dirty |= clean;
         let n = u64::from(clean.count_ones());
         self.dirty_blocks += n;
-        while clean != 0 {
-            let i = u64::from(clean.trailing_zeros());
-            let len = u64::from((!(clean >> i)).trailing_zeros());
-            clean &= !run_mask(i, len);
+        for (i, len) in stretches(clean) {
             self.index.pages[p as usize].dirty_since[run_range(i, len)].fill(now);
             self.enqueue_flush((file_id, base + i), len, now);
         }
@@ -1214,29 +1216,24 @@ impl BlockCache {
     }
 
     /// [`BlockCache::take_flush_batch`] appending the coalesced ranges
-    /// into a caller-owned vector (not cleared first). Both the output
-    /// vector and the internal block-key scratch keep their capacity, so
-    /// steady-state flushing allocates nothing.
+    /// into a caller-owned vector (not cleared first). The vector keeps
+    /// its capacity, so steady-state flushing allocates nothing.
     pub fn take_flush_batch_into(
         &mut self,
         now: SimTime,
         max_bytes: u64,
         out: &mut Vec<ByteRange>,
     ) {
-        let bs = self.config.block_size;
-        let mut blocks = std::mem::take(&mut self.flush_keys);
-        debug_assert!(blocks.is_empty());
-        let mut budget = max_bytes;
+        let start = out.len();
+        // Blocks the budget still covers.
+        let mut budget = max_bytes / self.config.block_size;
         let mut hint = NO_PAGE;
-        while budget >= bs {
+        while budget > 0 {
             // Consume the front run one page segment at a time.
-            let (file_id, first, count, dirty_since) = match self.flush_q.front() {
-                Some(run) if run.ready_at <= now => {
-                    (run.file_id, run.first, run.count, run.dirty_since)
-                }
-                _ => break,
-            };
-            let seg = count.min(PAGE_BLOCKS - (first & PAGE_MASK));
+            let Some(&run) = self.flush_q.front().filter(|r| r.ready_at <= now) else { break };
+            let FlushRun { file_id, first, count, dirty_since, .. } = run;
+            let i0 = first & PAGE_MASK;
+            let seg = count.min(PAGE_BLOCKS - i0);
             let taken = match self.index.find_page((file_id, first >> PAGE_SHIFT), &mut hint) {
                 // The page is gone, so every entry in the segment is
                 // stale and each of their lookups misses the map.
@@ -1245,20 +1242,33 @@ impl BlockCache {
                     seg
                 }
                 Some(page) => {
+                    // A stale entry (evicted, already flushed, or
+                    // re-dirtied) no longer finds its block dirty with
+                    // the run's stamp, and is skipped. The stamp compare
+                    // runs over the whole page, which vectorises.
                     let pg = &mut self.index.pages[page as usize];
-                    let mut taken = 0;
-                    while taken < seg && budget >= bs {
-                        let b = first + taken;
-                        taken += 1;
-                        // A stale entry — evicted, already flushed, or
-                        // re-dirtied — is silently skipped.
-                        let i = b & PAGE_MASK;
-                        if pg.dirty >> i & 1 == 1 && pg.dirty_since[i as usize] == dirty_since {
-                            pg.dirty &= !(1 << i);
-                            self.dirty_blocks -= 1;
-                            blocks.push((file_id, b));
-                            budget -= bs;
+                    let same = pg.dirty_since.iter().map(|&t| t == dirty_since);
+                    let same = same.enumerate().fold(0, |m, (i, s)| m | u64::from(s) << i);
+                    let mut take = pg.dirty & run_mask(i0, seg) & same;
+                    let taken = if u64::from(take.count_ones()) < budget {
+                        seg
+                    } else {
+                        // The budget runs out on its last valid block; the
+                        // entries after that one stay queued.
+                        let mut rest = take;
+                        for _ in 0..budget {
+                            rest &= rest - 1;
                         }
+                        take &= !rest;
+                        u64::from(u64::BITS - take.leading_zeros()) - i0
+                    };
+                    pg.dirty &= !take;
+                    let n = u64::from(take.count_ones());
+                    self.dirty_blocks -= n;
+                    budget -= n;
+                    let base = first - i0;
+                    for (i, len) in stretches(take) {
+                        out.push(self.blocks(file_id, base + i, base + i + len));
                     }
                     self.index.count_hinted(taken - 1);
                     taken
@@ -1271,16 +1281,13 @@ impl BlockCache {
                 self.flush_q.pop_front();
             }
         }
-        let first = out.len();
-        coalesce_into(&mut blocks, bs, out);
-        if out.len() > first {
+        merge_runs(out, start);
+        if out.len() > start {
             self.flush_batches += 1;
         }
-        for r in &out[first..] {
+        for r in &out[start..] {
             self.stats.device_bytes_written += r.length;
         }
-        blocks.clear();
-        self.flush_keys = blocks;
     }
 
     /// True when dirty data is ready to flush at `now`.
@@ -1298,18 +1305,16 @@ impl BlockCache {
         let bs = self.config.block_size;
         // Retired pages have `dirty` cleared, so scanning the page slab
         // visits exactly the resident dirty blocks.
-        let mut blocks: Vec<Key> = Vec::new();
+        let mut ranges = Vec::new();
         for pg in self.index.pages.iter_mut() {
-            let mut dirty = std::mem::take(&mut pg.dirty);
-            while dirty != 0 {
-                let i = u64::from(dirty.trailing_zeros());
-                dirty &= dirty - 1;
-                blocks.push((pg.pk.0, (pg.pk.1 << PAGE_SHIFT) | i));
+            let (file_id, base) = (pg.pk.0, pg.pk.1 << PAGE_SHIFT);
+            for (i, len) in stretches(std::mem::take(&mut pg.dirty)) {
+                ranges.push(ByteRange { file_id, offset: (base + i) * bs, length: len * bs });
             }
         }
+        merge_runs(&mut ranges, 0);
         self.flush_q.clear();
         self.dirty_blocks = 0;
-        let ranges = coalesce(blocks, bs);
         for r in &ranges {
             self.stats.device_bytes_written += r.length;
         }
@@ -1317,29 +1322,22 @@ impl BlockCache {
     }
 }
 
-/// Coalesce block keys into contiguous per-file byte ranges.
-fn coalesce(mut blocks: Vec<Key>, block_size: u64) -> Vec<ByteRange> {
-    let mut out = Vec::new();
-    coalesce_into(&mut blocks, block_size, &mut out);
-    out
-}
-
-/// [`coalesce`] appending into a caller-owned vector. Sorts `blocks` in
-/// place; the caller reclaims its capacity afterwards. Never merges into
-/// ranges already present in `out` before the call.
-fn coalesce_into(blocks: &mut [Key], block_size: u64, out: &mut Vec<ByteRange>) {
-    blocks.sort_unstable();
-    let start = out.len();
-    for &(file_id, b) in blocks.iter() {
-        if out.len() > start {
-            let r = out.last_mut().expect("out is non-empty past start");
-            if r.file_id == file_id && r.end() == b * block_size {
-                r.length += block_size;
-                continue;
-            }
+/// Sort the block runs appended to `out` from `start` on into file and
+/// block order, merging each into its predecessor when it continues it.
+/// The runs are disjoint; ranges before `start` are left alone.
+fn merge_runs(out: &mut Vec<ByteRange>, start: usize) {
+    out[start..].sort_unstable_by_key(|r| (r.file_id, r.offset));
+    let mut end = start;
+    for j in start..out.len() {
+        let r = out[j];
+        if end > start && out[end - 1].file_id == r.file_id && out[end - 1].end() == r.offset {
+            out[end - 1].length += r.length;
+        } else {
+            out[end] = r;
+            end += 1;
         }
-        out.push(ByteRange { file_id, offset: b * block_size, length: block_size });
     }
+    out.truncate(end);
 }
 
 #[cfg(test)]
@@ -1465,15 +1463,20 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_merges_adjacent_blocks_per_file() {
-        let ranges = coalesce(vec![(1, 0), (1, 1), (1, 3), (2, 4), (2, 5)], 4 * KB);
-        assert_eq!(
-            ranges,
-            vec![
-                ByteRange { file_id: 1, offset: 0, length: 8 * KB },
-                ByteRange { file_id: 1, offset: 12 * KB, length: 4 * KB },
-                ByteRange { file_id: 2, offset: 16 * KB, length: 8 * KB },
-            ]
-        );
+    fn merge_runs_joins_adjacent_runs_per_file_in_block_order() {
+        let range = |file_id: u32, block: u64, blocks: u64| ByteRange {
+            file_id,
+            offset: block * 4 * KB,
+            length: blocks * 4 * KB,
+        };
+        // Queued out of order; the range already in `out` is never
+        // merged into, though the first run continues it.
+        let mut out = vec![range(1, 0, 1), range(2, 5, 1), range(1, 3, 1)];
+        out.extend([range(1, 1, 1), range(2, 4, 1), range(1, 2, 1)]);
+        merge_runs(&mut out, 1);
+        assert_eq!(out, [range(1, 0, 1), range(1, 1, 3), range(2, 4, 2)]);
+        let mut out = vec![range(1, 3, 2), range(1, 0, 2)];
+        merge_runs(&mut out, 0);
+        assert_eq!(out, [range(1, 0, 2), range(1, 3, 2)]);
     }
 }

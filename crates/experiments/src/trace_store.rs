@@ -54,6 +54,7 @@ use crate::runner::{scaled_spec, Scale};
 use iosim::{EventSource, ProcessFeed};
 use iotrace::stream_v2::{write_frame_file_with, FrameFile};
 use iotrace::{IoEvent, Trace, TraceError};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -223,6 +224,13 @@ struct SpilledTrace {
     blocks: Mutex<HashMap<usize, Weak<DecodedBlock>>>,
 }
 
+thread_local! {
+    /// Compressed-payload scratch for block decodes. One buffer per
+    /// thread serves every spilled trace: a buffer per trace would stay
+    /// allocated for each trace a campaign replays.
+    static PAYLOAD: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 impl std::fmt::Debug for SpilledTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpilledTrace")
@@ -248,10 +256,9 @@ impl SpilledTrace {
             return b;
         }
         cache.retain(|_, w| w.strong_count() > 0);
-        let mut bytes = Vec::new();
         let mut events = Vec::new();
-        self.file
-            .decode_block_into(i, &mut bytes, &mut events)
+        PAYLOAD
+            .with_borrow_mut(|bytes| self.file.decode_block_into(i, bytes, &mut events))
             .expect("spilled trace block decodes (file was validated at spill time)");
         let size = std::mem::size_of_val(&events[..]);
         self.counters.charge(size);

@@ -53,14 +53,6 @@ impl SimRng {
         self.inner.gen_bool(p)
     }
 
-    /// Exponentially distributed value with the given mean (inter-arrival
-    /// jitter for the checkpoint scheduler).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "exponential mean must be positive");
-        let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-
     /// A value jittered multiplicatively by up to `frac` around `base`
     /// (uniform in `[base*(1-frac), base*(1+frac)]`), never negative.
     ///
@@ -126,15 +118,6 @@ mod tests {
             assert!((10..=20).contains(&v));
         }
         assert_eq!(rng.uniform_u64(5, 5), 5);
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut rng = SimRng::new(9);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| rng.exponential(4.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 4.0).abs() < 0.2, "mean {mean} too far from 4.0");
     }
 
     #[test]

@@ -111,7 +111,7 @@ USAGE:
              [--scale K] [--seed N] [--client NAME] [--json FILE]
   mio stats  (--socket PATH | --tcp ADDR) [--prom]
 
-RUN OPTIONS (each flag's environment default in parentheses):
+RUN OPTIONS (each flag's default in parentheses):
   --threads N             sweep threads (all cores)
   --shards N              sharded-engine threads (1)
   --trace-dir DIR         trace spill and cache directory
@@ -695,8 +695,8 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
     if let Some(stray) = args.first() {
         return Err(format!("submit: unexpected argument `{stray}`"));
     }
-    // No flag of its own: `--shards` here is the request's. The
-    // heartbeat echo follows the environment default alone.
+    // No run options of its own (`--shards` here is the request's), so
+    // the heartbeat echo is the default run configuration's: off.
     let progress = RunConfig::from_args(&mut Vec::new())?.progress;
     let resp = serve::submit_once(&endpoint, &serve::Request { id: 1, client, body }, progress)?;
     match resp.event.as_str() {
