@@ -6,6 +6,7 @@
 //! runs of the same simulation produce byte-identical files.
 
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt::Write;
 
 /// Error type mirroring `serde_json::Error`: parse or decode failure.
 #[derive(Debug)]
@@ -27,6 +28,11 @@ impl From<DeError> for Error {
 
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -35,7 +41,7 @@ fn escape_into(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -44,16 +50,20 @@ fn escape_into(s: &str, out: &mut String) {
 }
 
 fn fmt_f64(x: f64, out: &mut String) {
-    if x.is_finite() {
-        // Match serde_json: integral floats print with a trailing `.0`.
-        if x == x.trunc() && x.abs() < 1e15 {
-            out.push_str(&format!("{x:.1}"));
-        } else {
-            out.push_str(&format!("{x}"));
-        }
-    } else {
+    if !x.is_finite() {
         // serde_json emits null for non-finite floats.
         out.push_str("null");
+    } else if x == x.trunc() && x.abs() < 1e15 {
+        // Match serde_json: integral floats print with a trailing `.0`.
+        // Below 1e15 the value is exact as an `i64`, whose digits are the
+        // same as `{x:.1}`'s and much cheaper to print; only the sign of
+        // `-0.0` is lost in the conversion.
+        if x == 0.0 && x.is_sign_negative() {
+            out.push('-');
+        }
+        let _ = write!(out, "{}.0", x as i64);
+    } else {
+        let _ = write!(out, "{x}");
     }
 }
 
@@ -61,8 +71,12 @@ fn write_compact(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
+        Value::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::I64(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::F64(x) => fmt_f64(*x, out),
         Value::Str(s) => escape_into(s, out),
         Value::Seq(items) => {
@@ -404,6 +418,94 @@ mod tests {
         let mut out = String::new();
         write_pretty(&v, 0, &mut out);
         assert_eq!(out, "{\n  \"b\": 1,\n  \"a\": [\n    2\n  ]\n}");
+    }
+
+    /// The float rule before integral floats were printed through `i64`:
+    /// `{x:.1}` below 1e15, shortest round-trip `Display` otherwise.
+    fn fmt_f64_reference(x: f64) -> String {
+        if !x.is_finite() {
+            "null".into()
+        } else if x == x.trunc() && x.abs() < 1e15 {
+            format!("{x:.1}")
+        } else {
+            format!("{x}")
+        }
+    }
+
+    #[test]
+    fn float_output_matches_the_format_rule_byte_for_byte() {
+        let check = |x: f64| {
+            let mut out = String::new();
+            fmt_f64(x, &mut out);
+            assert_eq!(out, fmt_f64_reference(x), "bits {:#018x}", x.to_bits());
+        };
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -0.5,
+            1e15,
+            -1e15,
+            below(1e15),
+            above(1e15),
+            -below(1e15),
+            -above(1e15),
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15 + 1.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            below(f64::MIN_POSITIVE),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            check(x);
+        }
+        // Random bit patterns cover every exponent; random integers below
+        // 2^50 cover the integral fast path, which random bits rarely hit.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..100_000 {
+            let bits = next();
+            check(f64::from_bits(bits));
+            let int = (bits >> 14) as i64 * if bits & 1 == 0 { 1 } else { -1 };
+            check(int as f64);
+        }
+    }
+
+    #[test]
+    fn strings_print_whole_or_escaped() {
+        for (s, json) in [
+            ("plain ascii", r#""plain ascii""#),
+            ("ünïcödé ✓", r#""ünïcödé ✓""#),
+            ("", r#""""#),
+            ("tab\there", r#""tab\there""#),
+            ("bell\u{7}", r#""bell\u0007""#),
+            ("ünï\"q\"", r#""ünï\"q\"""#),
+        ] {
+            assert_eq!(to_string(&s.to_string()).unwrap(), json);
+            assert_eq!(from_str::<String>(json).unwrap(), s);
+        }
     }
 
     #[test]

@@ -40,10 +40,16 @@
 //! Every runnable request is a pure function of its body: the
 //! simulations it triggers derive all randomness from per-request seeds
 //! and the [`TraceStore`] memoizes byte-identical traces regardless of
-//! which worker generated them first. So the result [`Value`] for a key
-//! is byte-identical no matter the worker count, the queue order, or
+//! which worker generated them first. So the result for a key is
+//! byte-identical no matter the worker count, the queue order, or
 //! whether it was computed, coalesced, or cached — the property the
 //! proptest suite and the CI socket guard pin.
+//!
+//! A result is kept as the compact JSON bytes of its report, serialized
+//! once by the worker that computed it: every ticket sharing the result,
+//! and every later cache hit, hands out the same bytes, and the server
+//! splices them into its `done` line without parsing or printing the
+//! report again.
 
 use crate::canon::canonical_hash;
 use crate::protocol::{CampaignPointSpec, Fig8PointSpec, RequestBody};
@@ -123,10 +129,13 @@ pub struct FlightTiming {
     pub service: Duration,
 }
 
+/// A finished execution: the report's compact JSON, or why there is none.
+type FlightResult = Result<Arc<str>, String>;
+
 /// One execution, shared by every ticket coalesced onto it.
 #[derive(Debug)]
 struct Flight {
-    done: Mutex<Option<Result<Arc<Value>, String>>>,
+    done: Mutex<Option<FlightResult>>,
     cv: Condvar,
     /// Set by the worker just before `complete`; stays `None` for
     /// cache-hit flights (nothing ran) and abandoned jobs.
@@ -138,7 +147,7 @@ impl Flight {
         Arc::new(Flight { done: Mutex::new(None), cv: Condvar::new(), timing: Mutex::new(None) })
     }
 
-    fn completed(value: Arc<Value>) -> Arc<Flight> {
+    fn completed(value: Arc<str>) -> Arc<Flight> {
         Arc::new(Flight {
             done: Mutex::new(Some(Ok(value))),
             cv: Condvar::new(),
@@ -146,7 +155,7 @@ impl Flight {
         })
     }
 
-    fn complete(&self, result: Result<Arc<Value>, String>) {
+    fn complete(&self, result: FlightResult) {
         *self.done.lock().expect("flight lock") = Some(result);
         self.cv.notify_all();
     }
@@ -165,10 +174,10 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Block until the result is ready. `Err` means the engine stopped
-    /// before running the job (drain timeout exceeded) or the job
-    /// panicked.
-    pub fn wait(&self) -> Result<Arc<Value>, String> {
+    /// Block until the result is ready: the report's compact JSON bytes.
+    /// `Err` means the engine stopped before running the job (drain
+    /// timeout exceeded) or the job panicked.
+    pub fn wait(&self) -> Result<Arc<str>, String> {
         let mut done = self.flight.done.lock().expect("flight lock");
         loop {
             if let Some(r) = done.as_ref() {
@@ -185,9 +194,15 @@ impl Ticket {
         *self.flight.timing.lock().expect("flight lock")
     }
 
+    /// The result if the ticket is resolved already — always so for a
+    /// cache hit — without blocking; `None` while it is pending.
+    pub fn try_result(&self) -> Option<Result<Arc<str>, String>> {
+        self.flight.done.lock().expect("flight lock").clone()
+    }
+
     /// [`Ticket::wait`] bounded by `timeout`; `None` means still
     /// pending — the server's heartbeat loop polls with this.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Arc<Value>, String>> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Arc<str>, String>> {
         let mut done = self.flight.done.lock().expect("flight lock");
         let deadline = Instant::now() + timeout;
         loop {
@@ -235,7 +250,8 @@ struct Sched {
     /// Single-flight registry: canonical key → the execution every
     /// concurrent duplicate awaits.
     flights: HashMap<u64, Arc<Flight>>,
-    results: HashMap<u64, Arc<Value>>,
+    /// Result cache: canonical key → the report's compact JSON.
+    results: HashMap<u64, Arc<str>>,
     lru: LruIndex<u64>,
     stopped: bool,
 }
@@ -284,7 +300,7 @@ impl Sched {
         }
     }
 
-    fn cache_insert(&mut self, key: u64, value: Arc<Value>, cap: usize) {
+    fn cache_insert(&mut self, key: u64, value: Arc<str>, cap: usize) {
         if cap == 0 {
             return;
         }
@@ -650,10 +666,11 @@ fn worker_loop(inner: &Inner) {
     serve_jobs(inner, execute);
 }
 
-/// Run queued jobs with `run` until the engine stops. A job whose run
-/// panics completes its flight with an error for the submitter and
-/// every coalesced waiter; nothing is cached, and the worker goes on to
-/// the next job.
+/// Run queued jobs with `run` until the engine stops, serializing each
+/// report once; its service time includes that serialization. A job
+/// whose run panics completes its flight with an error for the submitter
+/// and every coalesced waiter; nothing is cached, and the worker goes on
+/// to the next job.
 fn serve_jobs(inner: &Inner, run: impl Fn(&TraceStore, &RequestBody) -> Value) {
     loop {
         let job = {
@@ -672,13 +689,16 @@ fn serve_jobs(inner: &Inner, run: impl Fn(&TraceStore, &RequestBody) -> Value) {
         let queue_wait = job.enqueued_at.elapsed();
         inner.metrics.queue_wait[ty].record_us(queue_wait.as_micros() as u64);
         let started = Instant::now();
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(&inner.store, &job.body)));
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            serde_json::to_string(&run(&inner.store, &job.body))
+        }));
         let service = started.elapsed();
-        let result = match outcome {
-            Ok(value) => {
+        let result: FlightResult = match outcome {
+            Ok(Ok(json)) => {
                 inner.metrics.service_time[ty].record_us(service.as_micros() as u64);
-                Ok(Arc::new(value))
+                Ok(Arc::from(json))
             }
+            Ok(Err(e)) => Err(format!("serialize: {e}")),
             Err(payload) => Err(format!("the simulation panicked: {}", panic_message(&*payload))),
         };
         {
@@ -771,7 +791,8 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
     }
 }
 
-/// Run one request body to its report, serialized to the data model.
+/// Run one request body to its report, serialized to the data model
+/// (the engine stores it as compact JSON).
 /// This is the same code path `mio sim` uses, against the engine's warm
 /// store — which is exactly why responses are byte-identical to
 /// one-shot runs. Served runs never sample a gauge timeline.
@@ -829,8 +850,8 @@ mod tests {
         let v1 = first.wait().expect("completes");
         let second = engine.submit("b", &point(8)).expect("admitted");
         assert!(second.cached, "repeat of a completed key is a cache hit");
-        let v2 = second.wait().expect("instant");
-        assert!(Arc::ptr_eq(&v1, &v2), "cache returns the same shared value");
+        let v2 = second.try_result().expect("a cache hit is resolved on submit").expect("ok");
+        assert!(Arc::ptr_eq(&v1, &v2), "cache returns the same shared bytes");
         assert_eq!(engine.completed(), 1, "one execution served both");
     }
 
@@ -841,6 +862,7 @@ mod tests {
         let b = engine.submit("b", &point(16)).expect("admitted");
         assert!(!a.cached);
         assert!(b.cached, "identical in-flight request coalesces");
+        assert!(a.try_result().is_none() && b.try_result().is_none(), "nothing ran yet");
         let s = engine.inner.sched.lock().expect("lock");
         assert_eq!(s.inflight, 1, "one job despite two submissions");
         assert_eq!(s.queued(), 1);
@@ -932,10 +954,7 @@ mod tests {
             .expect("answered")
             .expect("computed");
         let fresh = execute(&TraceStore::new(), &good);
-        assert_eq!(
-            serde_json::to_string(served.as_ref()).expect("print"),
-            serde_json::to_string(&fresh).expect("print")
-        );
+        assert_eq!(&*served, serde_json::to_string(&fresh).expect("print"));
     }
 
     #[test]
@@ -1005,10 +1024,7 @@ mod tests {
             .expect("answered")
             .expect("computed");
         let fresh = execute(&TraceStore::new(), &good);
-        assert_eq!(
-            serde_json::to_string(served.as_ref()).expect("print"),
-            serde_json::to_string(&fresh).expect("print")
-        );
+        assert_eq!(&*served, serde_json::to_string(&fresh).expect("print"));
         drop(engine);
         worker.join().expect("the worker outlives the panic and stops with the engine");
     }

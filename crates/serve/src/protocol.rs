@@ -12,9 +12,11 @@
 //! byte-identical (once pretty-printed) to the JSON the one-shot
 //! `mio sim` writes for the same point, at any worker count —
 //! whether it was computed, coalesced onto a concurrent duplicate, or
-//! served from the result cache.
+//! served from the result cache. On the wire it is the report's compact
+//! JSON, the same bytes for every answer to one request.
 
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write;
 
 /// What one request asks the daemon to simulate (or report).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,6 +151,16 @@ impl Response {
     }
 }
 
+/// Append the terminal `done` line for `id` to `out`, without a newline:
+/// `result`, a compact JSON document, is copied in verbatim. The line is
+/// byte-identical to serializing [`Response::done`] of the parsed
+/// `result`, without building or printing the report's value tree.
+pub fn write_done_line(out: &mut String, id: u64, result: &str, cached: bool) {
+    let _ = write!(out, r#"{{"id":{id},"event":"done","cached":{cached},"result":"#);
+    out.push_str(result);
+    out.push_str(r#","error":null,"rate":null,"eta_secs":null}"#);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +181,29 @@ mod tests {
         let line = serde_json::to_string(&req).expect("serialize");
         let back: Request = serde_json::from_str(&line).expect("parse");
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn done_lines_from_result_bytes_match_the_serialized_response() {
+        let report = Value::Map(vec![
+            ("name".into(), Value::Str("venus \"x2\"".into())),
+            ("idle".into(), Value::F64(0.25)),
+            ("ios".into(), Value::Seq(vec![Value::U64(3), Value::F64(2.0), Value::Null])),
+            ("empty".into(), Value::Map(vec![])),
+        ]);
+        let bytes = serde_json::to_string(&report).expect("serialize");
+        for id in [0, 1, u64::MAX] {
+            for cached in [false, true] {
+                let mut line = String::new();
+                write_done_line(&mut line, id, &bytes, cached);
+                let parsed: Value = serde_json::from_str(&bytes).expect("parse");
+                let expected = serde_json::to_string(&Response::done(id, parsed, cached))
+                    .expect("serialize");
+                assert_eq!(line, expected, "id={id} cached={cached}");
+                let back: Response = serde_json::from_str(&line).expect("parse the line");
+                assert_eq!(back, Response::done(id, report.clone(), cached));
+            }
+        }
     }
 
     #[test]

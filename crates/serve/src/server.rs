@@ -5,6 +5,12 @@
 //! an `accepted` line, `progress` heartbeats while it waits or runs,
 //! and one terminal `done`/`error` line (correlated by `id`).
 //!
+//! A request whose ticket is resolved when it is submitted — a result
+//! cache hit, or a flight that finished meanwhile — is answered on the
+//! connection thread: its `accepted` and `done` lines go out in one
+//! write, the `done` line spliced from the stored result bytes. Only a
+//! pending ticket gets a waiter thread, which sends the heartbeats.
+//!
 //! Shutdown is graceful: SIGINT, SIGTERM, or a [`RequestBody::Shutdown`]
 //! request stops the accept loop, refuses new submissions with a clean
 //! JSON error, drains in-flight work bounded by `--drain-timeout`, and
@@ -12,14 +18,14 @@
 //! [`serve`] returns).
 
 use crate::engine::{Engine, EngineConfig, Ticket};
-use crate::protocol::{Request, RequestBody, Response};
+use crate::protocol::{write_done_line, Request, RequestBody, Response};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where the daemon listens (and the client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +59,9 @@ pub struct ServeOptions {
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
 /// Poll granularity of the accept loop and idle connection reads.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// Longest request line a connection may send, newline included. A
+/// longer line is answered with one `error` and the connection closes.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
 
 /// Process-wide shutdown latch, set by SIGINT/SIGTERM or a `Shutdown`
 /// request.
@@ -167,18 +176,40 @@ impl Listener {
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
-/// Serialize one response as a single JSON line under the writer lock,
-/// so concurrent request threads never interleave bytes.
-fn write_response(w: &SharedWriter, resp: &Response) {
-    let mut line = serde_json::to_string(resp).unwrap_or_else(|e| {
-        serde_json::to_string(&Response::error(resp.id, format!("serialize: {e}")))
-            .expect("error response serializes")
-    });
-    line.push('\n');
+/// Append one response to `out` as a JSON line.
+fn push_response(out: &mut String, resp: &Response) {
+    match serde_json::to_string(resp) {
+        Ok(line) => out.push_str(&line),
+        Err(e) => out.push_str(
+            &serde_json::to_string(&Response::error(resp.id, format!("serialize: {e}")))
+                .expect("error response serializes"),
+        ),
+    }
+    out.push('\n');
+}
+
+/// Write whole response lines under the writer lock, so concurrent
+/// request threads never interleave bytes.
+fn write_lines(w: &SharedWriter, lines: &str) {
     let mut g = w.lock().expect("writer lock");
-    // A vanished client is not a server error; drop the line.
-    let _ = g.write_all(line.as_bytes());
+    // A vanished client is not a server error; drop the lines.
+    let _ = g.write_all(lines.as_bytes());
     let _ = g.flush();
+}
+
+/// Serialize one response as a single JSON line and write it.
+fn write_response(w: &SharedWriter, resp: &Response) {
+    let mut line = String::new();
+    push_response(&mut line, resp);
+    write_lines(w, &line);
+}
+
+/// Write a `done` line carrying `result`, a compact JSON document.
+fn write_done(w: &SharedWriter, id: u64, result: &str, cached: bool) {
+    let mut line = String::new();
+    write_done_line(&mut line, id, result, cached);
+    line.push('\n');
+    write_lines(w, &line);
 }
 
 /// Run the daemon until a shutdown signal/request arrives, then drain
@@ -232,8 +263,9 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Read request lines until EOF or shutdown; each runnable request gets
-/// its own waiter thread so responses pipeline.
+/// Read request lines until EOF, shutdown or an oversized line; each
+/// request still pending after submission gets its own waiter thread so
+/// responses pipeline.
 fn handle_connection(conn: Conn, engine: &Arc<Engine>, default_client: &str) {
     let writer: SharedWriter = Arc::new(Mutex::new(conn.writer));
     let mut reader = BufReader::new(conn.reader);
@@ -242,10 +274,22 @@ fn handle_connection(conn: Conn, engine: &Arc<Engine>, default_client: &str) {
     loop {
         // The read timeout doubles as the shutdown poll: a partial line
         // survives in `line` across timeouts and completes on the next
-        // successful read.
-        match reader.read_line(&mut line) {
+        // successful read. `take` stops a line at MAX_REQUEST_LINE bytes
+        // in all, however many reads it spans.
+        let budget = MAX_REQUEST_LINE - line.len() as u64;
+        match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {
+                if line.len() as u64 >= MAX_REQUEST_LINE && !line.ends_with('\n') {
+                    write_response(
+                        &writer,
+                        &Response::error(
+                            0,
+                            format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+                        ),
+                    );
+                    break;
+                }
                 let text = std::mem::take(&mut line);
                 let text = text.trim();
                 if text.is_empty() {
@@ -280,15 +324,14 @@ fn handle_request(
     waiters: &mut Vec<std::thread::JoinHandle<()>>,
 ) {
     let id = req.id;
+    let json = |v: Value| serde_json::to_string(&v).expect("a value prints as JSON");
     match &req.body {
-        RequestBody::Stats => {
-            write_response(writer, &Response::done(id, engine.stats_value(), false));
-        }
+        RequestBody::Stats => write_done(writer, id, &json(engine.stats_value()), false),
         RequestBody::Metrics => {
-            write_response(writer, &Response::done(id, Value::Str(engine.prometheus_text()), false));
+            write_done(writer, id, &json(Value::Str(engine.prometheus_text())), false)
         }
         RequestBody::Shutdown => {
-            write_response(writer, &Response::done(id, Value::Null, false));
+            write_done(writer, id, "null", false);
             request_shutdown();
         }
         _ => {
@@ -298,14 +341,24 @@ fn handle_request(
             };
             match engine.submit(&client, &req.body) {
                 Ok(ticket) => {
-                    write_response(writer, &Response::accepted(id));
+                    let accepted = Instant::now();
+                    let mut lines = String::new();
+                    push_response(&mut lines, &Response::accepted(id));
+                    if let Some(result) = ticket.try_result() {
+                        finish(id, &client, &ticket, result, accepted, lines, writer);
+                        return;
+                    }
+                    write_lines(writer, &lines);
                     let expected_us = engine.expected_service_us(&req.body);
                     let writer = Arc::clone(writer);
+                    // Finished waiters leave, so the vector holds at most
+                    // this connection's pending requests.
+                    waiters.retain(|h| !h.is_finished());
                     waiters.push(
                         std::thread::Builder::new()
                             .name(format!("serve-wait{id}"))
                             .spawn(move || {
-                                stream_result(id, &client, &ticket, expected_us, &writer)
+                                stream_result(id, &client, &ticket, accepted, expected_us, &writer)
                             })
                             .expect("spawn waiter thread"),
                     );
@@ -322,27 +375,47 @@ fn handle_request(
     }
 }
 
-/// Emit progress heartbeats until the ticket resolves, then the
-/// terminal line plus one structured key=value completion log line.
+/// Append the terminal line of a resolved ticket to `lines`, write them
+/// all at once, then log one structured key=value completion line.
+fn finish(
+    id: u64,
+    client: &str,
+    ticket: &Ticket,
+    result: Result<Arc<str>, String>,
+    accepted: Instant,
+    mut lines: String,
+    writer: &SharedWriter,
+) {
+    let outcome = match result {
+        Ok(bytes) => {
+            write_done_line(&mut lines, id, &bytes, ticket.cached);
+            lines.push('\n');
+            "done"
+        }
+        Err(e) => {
+            push_response(&mut lines, &Response::error(id, e));
+            "error"
+        }
+    };
+    write_lines(writer, &lines);
+    log_completion(id, client, ticket, accepted.elapsed(), outcome);
+}
+
+/// Emit progress heartbeats until a pending ticket resolves, then
+/// [`finish`] it.
 fn stream_result(
     id: u64,
     client: &str,
     ticket: &Ticket,
+    accepted: Instant,
     expected_us: Option<u64>,
     writer: &SharedWriter,
 ) {
-    let accepted = std::time::Instant::now();
     let ev0 = obs::sim_events_total();
     loop {
         match ticket.wait_timeout(PROGRESS_INTERVAL) {
-            Some(Ok(value)) => {
-                write_response(writer, &Response::done(id, value.as_ref().clone(), ticket.cached));
-                log_completion(id, client, ticket, accepted.elapsed(), "done");
-                return;
-            }
-            Some(Err(e)) => {
-                write_response(writer, &Response::error(id, e));
-                log_completion(id, client, ticket, accepted.elapsed(), "error");
+            Some(result) => {
+                finish(id, client, ticket, result, accepted, String::new(), writer);
                 return;
             }
             None => {
@@ -480,34 +553,53 @@ mod tests {
         TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr").port()
     }
 
-    #[test]
-    fn serve_answers_and_shuts_down_over_tcp() {
+    /// `SHUTDOWN` is process-wide, so one test's shutdown request would
+    /// stop another test's server: server tests run one at a time.
+    static SERVER_TEST: Mutex<()> = Mutex::new(());
+
+    /// Start a daemon on a free loopback port; returns its address once
+    /// it accepts connections.
+    fn start_server() -> (String, std::thread::JoinHandle<Result<(), String>>) {
         let mut opts = loopback_options();
         let addr = format!("127.0.0.1:{}", free_port());
         opts.endpoint = Endpoint::Tcp(addr.clone());
-        let server_opts = opts.clone();
-        let server = std::thread::spawn(move || serve(&server_opts));
+        let server = std::thread::spawn(move || serve(&opts));
+        for _ in 0..200 {
+            if TcpStream::connect(addr.as_str()).is_ok() {
+                return (addr, server);
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        panic!("the server never listened on {addr}");
+    }
 
-        // Wait for the listener to come up.
-        let endpoint = Endpoint::Tcp(addr);
+    fn shut_down(addr: String, server: std::thread::JoinHandle<Result<(), String>>) {
+        let bye = Request { id: u64::MAX, client: None, body: RequestBody::Shutdown };
+        let bye = submit_once(&Endpoint::Tcp(addr), &bye, false).expect("shutdown ack");
+        assert_eq!(bye.event, "done");
+        server.join().expect("server thread").expect("clean exit");
+    }
+
+    /// Read one response line; `None` at end of stream.
+    fn read_response_line(reader: &mut BufReader<TcpStream>) -> Option<String> {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read a response line");
+        (n > 0).then(|| line.trim_end().to_string())
+    }
+
+    #[test]
+    fn serve_answers_and_shuts_down_over_tcp() {
+        let _serial = SERVER_TEST.lock().unwrap_or_else(|e| e.into_inner());
+        let (addr, server) = start_server();
+        let endpoint = Endpoint::Tcp(addr.clone());
         let body = RequestBody::Fig8Point(Fig8PointSpec {
             cache_mb: 8,
             block: 4096,
             scale: 64,
             seed: 42,
         });
-        let mut resp = None;
-        for _ in 0..200 {
-            let req = Request { id: 1, client: None, body: body.clone() };
-            match submit_once(&endpoint, &req, false) {
-                Ok(r) => {
-                    resp = Some(r);
-                    break;
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
-        }
-        let resp = resp.expect("server answered");
+        let req = Request { id: 1, client: None, body: body.clone() };
+        let resp = submit_once(&endpoint, &req, false).expect("server answered");
         assert_eq!(resp.event, "done");
         assert_eq!(resp.cached, Some(false));
         let report = resp.result.expect("report payload");
@@ -527,9 +619,98 @@ mod tests {
         assert_eq!(stats.get("cache_hits"), Some(&Value::U64(1)));
 
         // Graceful shutdown over the wire.
-        let bye = Request { id: 4, client: None, body: RequestBody::Shutdown };
-        let bye = submit_once(&endpoint, &bye, false).expect("shutdown ack");
-        assert_eq!(bye.event, "done");
-        server.join().expect("server thread").expect("clean exit");
+        shut_down(addr, server);
+    }
+
+    #[test]
+    fn a_pipelined_repeat_is_answered_with_the_computed_bytes() {
+        let _serial = SERVER_TEST.lock().unwrap_or_else(|e| e.into_inner());
+        let (addr, server) = start_server();
+        let point = |cache_mb| {
+            RequestBody::Fig8Point(Fig8PointSpec { cache_mb, block: 4096, scale: 64, seed: 42 })
+        };
+        // A miss, its repeat and a different point, written in one go.
+        let mut batch = String::new();
+        for (id, body) in [(1, point(8)), (2, point(8)), (3, point(16))] {
+            batch += &serde_json::to_string(&Request { id, client: None, body }).expect("print");
+            batch.push('\n');
+        }
+        let stream = TcpStream::connect(addr.as_str()).expect("connect");
+        (&stream).write_all(batch.as_bytes()).expect("send");
+        let mut reader = BufReader::new(stream);
+        let mut accepted = [false; 4];
+        let mut done: [Option<(bool, String)>; 4] = Default::default();
+        while done[1..].iter().any(Option::is_none) {
+            let line = read_response_line(&mut reader).expect("the server answers every id");
+            let resp: Response = serde_json::from_str(&line).expect("parse");
+            let id = resp.id as usize;
+            match resp.event.as_str() {
+                "accepted" => accepted[id] = true,
+                "progress" => {}
+                "done" => {
+                    assert!(accepted[id], "id {id}: accepted comes before done");
+                    // The result's raw bytes, cut from the line itself.
+                    let head = format!(
+                        r#"{{"id":{id},"event":"done","cached":{},"result":"#,
+                        resp.cached.expect("done carries cached")
+                    );
+                    let result = line
+                        .strip_prefix(head.as_str())
+                        .and_then(|rest| {
+                            rest.strip_suffix(r#","error":null,"rate":null,"eta_secs":null}"#)
+                        })
+                        .expect("a done line in the wire layout");
+                    done[id] = Some((resp.cached.expect("cached"), result.to_string()));
+                }
+                other => panic!("id {id}: unexpected {other}: {line}"),
+            }
+        }
+        let [_, Some(first), Some(repeat), Some(other)] = done else { unreachable!() };
+        assert!(!first.0, "the first request computes");
+        assert!(repeat.0, "the repeat shares the first one's result");
+        assert_eq!(repeat.1, first.1, "the repeat gets the computed bytes");
+        assert!(!other.0);
+        assert_ne!(other.1, first.1);
+        let fresh = crate::engine::execute(&experiments::TraceStore::new(), &point(8));
+        assert_eq!(first.1, serde_json::to_string(&fresh).expect("print"));
+        shut_down(addr, server);
+    }
+
+    #[test]
+    fn an_oversized_request_line_gets_one_error_and_the_connection_closes() {
+        let _serial = SERVER_TEST.lock().unwrap_or_else(|e| e.into_inner());
+        let (addr, server) = start_server();
+        let stream = TcpStream::connect(addr.as_str()).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let stats = |id: u64| {
+            serde_json::to_string(&Request { id, client: None, body: RequestBody::Stats })
+                .expect("print")
+        };
+        // A line split across several read timeouts is still one request.
+        let line = stats(1);
+        let (a, b) = line.split_at(line.len() / 2);
+        writer.write_all(a.as_bytes()).expect("send");
+        std::thread::sleep(POLL_INTERVAL * 3);
+        writer.write_all(format!("{b}\n").as_bytes()).expect("send");
+        let resp = read_response_line(&mut reader).expect("answered");
+        assert!(resp.starts_with(r#"{"id":1,"event":"done""#), "{resp}");
+        // A line of exactly the limit, newline included, is accepted.
+        let mut line = stats(2);
+        line += &" ".repeat(MAX_REQUEST_LINE as usize - line.len() - 1);
+        line.push('\n');
+        writer.write_all(line.as_bytes()).expect("send");
+        let resp = read_response_line(&mut reader).expect("answered");
+        assert!(resp.starts_with(r#"{"id":2,"event":"done""#), "{resp:.80}");
+        // A line that reaches the limit without a newline: one error,
+        // then end of stream.
+        writer.write_all(&vec![b' '; MAX_REQUEST_LINE as usize]).expect("send");
+        let resp: Response =
+            serde_json::from_str(&read_response_line(&mut reader).expect("an error line"))
+                .expect("parse");
+        assert_eq!(resp.event, "error");
+        assert!(resp.error.expect("message").contains("longer than"));
+        assert_eq!(read_response_line(&mut reader), None, "the server closed the connection");
+        shut_down(addr, server);
     }
 }

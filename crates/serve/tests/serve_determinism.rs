@@ -1,8 +1,8 @@
 //! The service's headline contract, held under adversarial schedules:
 //! a shuffled, concurrent stream of requests — duplicates included —
-//! produces responses byte-identical to sequential one-shot runs, at
-//! every worker count; and overload answers queue-full instead of
-//! buffering unboundedly.
+//! produces results whose stored bytes are identical to the compact JSON
+//! of sequential one-shot runs, at every worker count; and overload
+//! answers queue-full instead of buffering unboundedly.
 
 use proptest::prelude::*;
 use serve::engine::execute;
@@ -28,13 +28,10 @@ fn request_pool() -> Vec<RequestBody> {
 }
 
 /// The ground truth: each body run one-shot (fresh store, no serving
-/// machinery), pretty-printed exactly like `mio sim --json` output.
+/// machinery), printed as compact JSON.
 fn sequential_baseline(pool: &[RequestBody]) -> Vec<String> {
     pool.iter()
-        .map(|body| {
-            let store = TraceStore::new();
-            serde_json::to_string_pretty(&execute(&store, body)).expect("print")
-        })
+        .map(|body| serde_json::to_string(&execute(&TraceStore::new(), body)).expect("print"))
         .collect()
 }
 
@@ -51,7 +48,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Concurrency-4 shuffled streams against worker counts {1, 2, 7}:
-    /// every response must equal its sequential one-shot bytes.
+    /// every ticket's stored bytes must equal its sequential one-shot
+    /// bytes, computed, coalesced or cached alike.
     #[test]
     fn shuffled_concurrent_streams_match_one_shot_runs(
         stream in proptest::collection::vec(0usize..6, 4..16),
@@ -80,9 +78,8 @@ proptest! {
                                     let ticket = engine
                                         .submit(&client, &pool[i])
                                         .expect("within max_inflight");
-                                    let value = ticket.wait().expect("engine running");
-                                    (i, serde_json::to_string_pretty(value.as_ref())
-                                        .expect("print"))
+                                    let bytes = ticket.wait().expect("engine running");
+                                    (i, bytes.to_string())
                                 })
                                 .collect::<Vec<_>>()
                         })
