@@ -223,23 +223,11 @@ impl CampaignBuilder {
     /// simulator's 16-bit namespaces (see [`iosim::AddProcessError`]);
     /// the builder's own numbering never does.
     pub fn run(self) -> SimReport {
-        let mut sim = Simulation::new(self.config);
-        let store = TraceStore::new();
-        let mut pid = 1u32;
-        for (i, kind) in self.apps.iter().enumerate() {
-            let events = store.events(
-                *kind,
-                pid,
-                self.seed + i as u64,
-                experiments::Scale(self.scale),
-            );
-            sim.add_process_shared(pid, format!("{}#{}", kind.name(), i + 1), events)
-                .expect("valid process");
-            pid += 1;
-        }
-        for (name, trace) in &self.traces {
+        let scale = experiments::Scale(self.scale);
+        let mut sim =
+            experiments::simulation(&TraceStore::new(), self.config, &self.apps, scale, self.seed);
+        for (pid, (name, trace)) in (self.apps.len() as u32 + 1..).zip(&self.traces) {
             sim.add_process(pid, name.clone(), trace).expect("valid process");
-            pid += 1;
         }
         sim.run()
     }

@@ -3,19 +3,18 @@
 //! disk-queueing simplification.
 
 use crate::config::RunConfig;
-use crate::figures::two_venus_report;
+use crate::figures::{combined_traffic, fig8_config};
 use crate::par_sweep::par_sweep;
 use crate::render::{num, pct, TextTable};
-use crate::runner::Scale;
+use crate::runner::{simulation, Scale, VENUS_PAIR};
 use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
-use iosim::{DeviceSpec, SimConfig, Simulation};
+use iosim::{DeviceSpec, SimConfig, SimReport};
 use serde::{Deserialize, Serialize};
 use sim_core::units::MB;
 use sim_core::SimDuration;
 use storage_model::DiskParams;
 use trace_analysis::Burstiness;
-use workload::AppKind;
 
 /// One ablation data point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -40,7 +39,7 @@ pub struct AblationSweep {
 }
 
 impl AblationSweep {
-    fn point(label: impl Into<String>, r: &iosim::SimReport) -> AblationPoint {
+    fn point(label: impl Into<String>, r: &SimReport) -> AblationPoint {
         AblationPoint {
             variant: label.into(),
             idle_secs: r.idle_secs(),
@@ -59,17 +58,10 @@ pub fn readahead_ablation(
 ) -> AblationSweep {
     let variants = [("read-ahead on", true), ("read-ahead off", false)];
     let points = par_sweep(cfg.threads, cfg.progress, &variants, |&(label, read_ahead)| {
-        let r = two_venus_report(
-            store,
-            cfg.timeline_ns,
-            128 * MB,
-            4096,
-            read_ahead,
-            WritePolicy::WriteBehind,
-            scale,
-            seed,
-        );
-        AblationSweep::point(label, &r)
+        let mut config =
+            SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(128 * MB) };
+        config.cache.as_mut().expect("cache").read_ahead = read_ahead;
+        AblationSweep::point(label, &simulation(store, config, &VENUS_PAIR, scale, seed).run())
     });
     AblationSweep { name: "read-ahead".into(), points }
 }
@@ -87,9 +79,10 @@ pub fn write_policy_ablation(
         ("sprite 30s delay", WritePolicy::sprite()),
     ];
     let points = par_sweep(cfg.threads, cfg.progress, &variants, |(label, policy)| {
-        let r =
-            two_venus_report(store, cfg.timeline_ns, 128 * MB, 4096, true, *policy, scale, seed);
-        AblationSweep::point(*label, &r)
+        let mut config =
+            SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(128 * MB) };
+        config.cache.as_mut().expect("cache").write_policy = *policy;
+        AblationSweep::point(*label, &simulation(store, config, &VENUS_PAIR, scale, seed).run())
     });
     AblationSweep { name: "write policy".into(), points }
 }
@@ -104,16 +97,8 @@ pub fn block_size_ablation(
 ) -> AblationSweep {
     let sizes = [4096u64, 8192, 16384];
     let points = par_sweep(cfg.threads, cfg.progress, &sizes, |&b| {
-        let r = two_venus_report(
-            store,
-            cfg.timeline_ns,
-            32 * MB,
-            b,
-            true,
-            WritePolicy::WriteBehind,
-            scale,
-            seed,
-        );
+        let config = SimConfig { timeline_ns: cfg.timeline_ns, ..fig8_config(32 * MB, b) };
+        let r = simulation(store, config, &VENUS_PAIR, scale, seed).run();
         AblationSweep::point(format!("{} KB blocks", b / 1024), &r)
     });
     AblationSweep { name: "cache block size".into(), points }
@@ -130,12 +115,7 @@ pub fn quantum_ablation(
     let points = par_sweep(cfg.threads, cfg.progress, &quanta, |&ms| {
         let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
         config.sched.quantum = SimDuration::from_millis(ms);
-        let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
-            .expect("valid process");
-        sim.add_process_shared(2, "venus#2", store.events(AppKind::Venus, 2, seed + 1, scale))
-            .expect("valid process");
-        let r = sim.run();
+        let r = simulation(store, config, &VENUS_PAIR, scale, seed).run();
         AblationSweep::point(format!("quantum {ms} ms"), &r)
     });
     AblationSweep { name: "scheduler quantum".into(), points }
@@ -169,24 +149,12 @@ pub fn queueing_ablation(
         let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
         let disk = if queueing { DiskParams::ymp_with_queueing() } else { DiskParams::ymp() };
         config.device = DeviceSpec::Disk(disk);
-        let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
-            .expect("valid process");
-        sim.add_process_shared(2, "venus#2", store.events(AppKind::Venus, 2, seed + 1, scale))
-            .expect("valid process");
-        sim.run()
+        simulation(store, config, &VENUS_PAIR, scale, seed).run()
     });
     let q = reports.pop().expect("two variants");
     let nq = reports.pop().expect("two variants");
-    let cv = |r: &iosim::SimReport| {
-        let mut combined = sim_core::RateSeries::new(r.disk_read_series.bin_width());
-        let n = r.disk_read_series.bins().len().max(r.disk_write_series.bins().len());
-        for i in 0..n {
-            let a = r.disk_read_series.bins().get(i).copied().unwrap_or(0.0);
-            let b = r.disk_write_series.bins().get(i).copied().unwrap_or(0.0);
-            combined.add(sim_core::SimTime::from_secs(i as u64), a + b);
-        }
-        Burstiness::of(&combined).cv
+    let cv = |r: &SimReport| {
+        Burstiness::of(&combined_traffic(&r.disk_read_series, &r.disk_write_series)).cv
     };
     QueueingAblation {
         idle_no_queueing: nq.idle_secs(),

@@ -2,13 +2,12 @@
 //! quantitatively.
 
 use crate::config::RunConfig;
-use crate::figures::two_venus_report;
 use crate::par_sweep::par_sweep;
 use crate::render::{num, pct, TextTable};
-use crate::runner::Scale;
+use crate::runner::{simulation, Scale, VENUS_PAIR};
 use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
-use iosim::{SimConfig, Simulation};
+use iosim::SimConfig;
 use serde::{Deserialize, Serialize};
 use sim_core::units::MB;
 use workload::{AppKind, ALL_APPS};
@@ -31,7 +30,10 @@ pub struct Claim1 {
 /// Check C1.
 pub fn claim1(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim1 {
     let run = |policy| {
-        two_venus_report(store, cfg.timeline_ns, 128 * MB, 4096, true, policy, scale, seed)
+        let mut config =
+            SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(128 * MB) };
+        config.cache.as_mut().expect("cache").write_policy = policy;
+        simulation(store, config, &VENUS_PAIR, scale, seed).run()
     };
     let with_wb = run(WritePolicy::WriteBehind);
     let without = run(WritePolicy::WriteThrough);
@@ -76,11 +78,8 @@ pub struct Claim2 {
 /// Check C2.
 pub fn claim2(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim2 {
     let apps = par_sweep(cfg.threads, cfg.progress, &ALL_APPS, |&kind| {
-        let mut sim =
-            Simulation::new(SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::ssd() });
-        sim.add_process_shared(1, kind.name(), store.events(kind, 1, seed, scale))
-            .expect("valid process");
-        let r = sim.run();
+        let config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::ssd() };
+        let r = simulation(store, config, &[kind], scale, seed).run();
         SsdUtilization {
             app: kind.name().to_string(),
             utilization: r.utilization(),
@@ -103,11 +102,8 @@ pub struct Claim3 {
 
 /// Check C3.
 pub fn claim3(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Claim3 {
-    let mut sim =
-        Simulation::new(SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(8 * MB) });
-    sim.add_process_shared(1, "gcm", store.events(AppKind::Gcm, 1, seed, scale))
-        .expect("valid process");
-    let r = sim.run();
+    let config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(8 * MB) };
+    let r = simulation(store, config, &[AppKind::Gcm], scale, seed).run();
     Claim3 { gcm_idle_secs: r.idle_secs(), holds: r.idle_secs() < 3.0 }
 }
 
@@ -129,12 +125,7 @@ pub fn claim4(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> C
     let run = |cap: Option<u64>| {
         let mut config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(32 * MB) };
         config.cache.as_mut().expect("cache").per_process_cap_blocks = cap;
-        let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, "venus#1", store.events(AppKind::Venus, 1, seed, scale))
-            .expect("valid process");
-        sim.add_process_shared(2, "venus#2", store.events(AppKind::Venus, 2, seed + 1, scale))
-            .expect("valid process");
-        sim.run()
+        simulation(store, config, &VENUS_PAIR, scale, seed).run()
     };
     let uncapped = run(None).idle_secs();
     // Cap = quarter of the cache (32 MB / 4 KB blocks / 4).
@@ -176,10 +167,7 @@ pub fn claim5(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> C
         // Measure *demand* locality: disable read-ahead so prefetch hits
         // don't masquerade as reuse.
         config.cache.as_mut().expect("cache").read_ahead = false;
-        let mut sim = Simulation::new(config);
-        sim.add_process_shared(1, kind.name(), store.events(kind, 1, seed, scale))
-            .expect("valid process");
-        let r = sim.run();
+        let r = simulation(store, config, &[kind], scale, seed).run();
         Absorption {
             app: kind.name().to_string(),
             read_absorption: r.cache.read_absorption(),

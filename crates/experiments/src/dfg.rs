@@ -15,7 +15,7 @@
 //! this crate.
 
 use crate::par_sweep::par_sweep;
-use crate::runner::Scale;
+use crate::runner::{app_processes, Scale, VENUS_PAIR};
 use crate::trace_store::TraceStore;
 use std::path::{Path, PathBuf};
 use trace_analysis::dfg::{dfg_of_frame_file, DfgReport};
@@ -59,7 +59,7 @@ pub fn dfg_for_subjects(
 
 /// The figure runs' subjects: the two venus instances of Figures 6–8.
 pub fn figure_subjects(seed: u64) -> Vec<DfgSubject> {
-    vec![(AppKind::Venus, 1, seed), (AppKind::Venus, 2, seed + 1)]
+    app_processes(&VENUS_PAIR, seed).collect()
 }
 
 /// Write `report` as pretty JSON at `path` and as Graphviz DOT next to

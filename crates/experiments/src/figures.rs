@@ -3,10 +3,9 @@
 use crate::config::RunConfig;
 use crate::par_sweep::par_sweep;
 use crate::render::ascii_plot;
-use crate::runner::Scale;
+use crate::runner::{simulation, Scale, VENUS_PAIR};
 use crate::trace_store::TraceStore;
-use buffer_cache::WritePolicy;
-use iosim::{SimConfig, SimReport, Simulation};
+use iosim::{SimConfig, SimReport};
 use serde::{Deserialize, Serialize};
 use sim_core::units::MB;
 use sim_core::{RateSeries, SimDuration};
@@ -83,6 +82,14 @@ pub struct TwoVenusFigure {
     pub plot: String,
 }
 
+/// The Figure 6–8 configuration: a read-ahead + write-behind cache of
+/// `cache_bytes` with `block_size`-byte blocks.
+pub fn fig8_config(cache_bytes: u64, block_size: u64) -> SimConfig {
+    let mut config = SimConfig::buffered(cache_bytes);
+    config.cache.as_mut().expect("buffered config has a cache").block_size = block_size;
+    config
+}
+
 /// Run two venus copies against a cache of `cache_mb` megabytes with
 /// read-ahead + write-behind (the Figure 6/7 setup).
 pub fn two_venus(
@@ -92,67 +99,31 @@ pub fn two_venus(
     scale: Scale,
     seed: u64,
 ) -> TwoVenusFigure {
-    let report = two_venus_report(
-        store,
-        cfg.timeline_ns,
-        cache_mb * MB,
-        4096,
-        true,
-        WritePolicy::WriteBehind,
-        scale,
-        seed,
-    );
+    let config = SimConfig { timeline_ns: cfg.timeline_ns, ..SimConfig::buffered(cache_mb * MB) };
+    let report = simulation(store, config, &VENUS_PAIR, scale, seed).run();
     summarize_two_venus(cache_mb, &report)
 }
 
-/// The underlying simulation, exposed for claims, ablations and the
-/// serving engine. Traces come from `store`, so repeated calls (e.g. a
-/// 14-point cache sweep) replay the same shared slices with zero copies;
-/// `timeline_ns` turns on gauge sampling ([`SimConfig::timeline_ns`]).
-#[allow(clippy::too_many_arguments)]
-pub fn two_venus_report(
-    store: &TraceStore,
-    timeline_ns: Option<u64>,
-    cache_bytes: u64,
-    block_size: u64,
-    read_ahead: bool,
-    write_policy: WritePolicy,
-    scale: Scale,
-    seed: u64,
-) -> SimReport {
-    let mut config = SimConfig { timeline_ns, ..SimConfig::buffered(cache_bytes) };
-    {
-        let c = config.cache.as_mut().expect("buffered config has a cache");
-        c.block_size = block_size;
-        c.read_ahead = read_ahead;
-        c.write_policy = write_policy;
-    }
-    let mut sim = Simulation::new(config);
-    // feed() picks the replay shape for us: a zero-copy shared slice
-    // normally, a bounded-memory streaming cursor when the store has a
-    // memory budget. The event sequence — and so the report — is
-    // identical either way.
-    sim.add_process_feed(1, "venus#1", store.feed(AppKind::Venus, 1, seed, scale))
-        .expect("valid process");
-    sim.add_process_feed(2, "venus#2", store.feed(AppKind::Venus, 2, seed + 1, scale))
-        .expect("valid process");
-    sim.run()
-}
-
-fn summarize_two_venus(cache_mb: u64, report: &SimReport) -> TwoVenusFigure {
-    let window = 200;
-    let reads = report.disk_read_series.truncated(window);
-    let writes = report.disk_write_series.truncated(window);
-    // Combined traffic for the burstiness measure and the plot. The two
-    // series can have different lengths (reads die out once the working
-    // set is cached), so pad the shorter one rather than truncating.
-    let mut combined = RateSeries::new(report.disk_read_series.bin_width());
+/// Disk reads plus writes per bin. The two series can have different
+/// lengths (reads die out once the working set is cached), so the
+/// shorter one is padded with zeros rather than the longer truncated.
+pub(crate) fn combined_traffic(reads: &RateSeries, writes: &RateSeries) -> RateSeries {
+    let mut combined = RateSeries::new(reads.bin_width());
     let n = reads.bins().len().max(writes.bins().len());
     for i in 0..n {
         let r = reads.bins().get(i).copied().unwrap_or(0.0);
         let w = writes.bins().get(i).copied().unwrap_or(0.0);
         combined.add(sim_core::SimTime::from_secs(i as u64), r + w);
     }
+    combined
+}
+
+fn summarize_two_venus(cache_mb: u64, report: &SimReport) -> TwoVenusFigure {
+    let window = 200;
+    let reads = report.disk_read_series.truncated(window);
+    let writes = report.disk_write_series.truncated(window);
+    // Combined traffic for the burstiness measure and the plot.
+    let combined = combined_traffic(&reads, &writes);
     let b = Burstiness::of(&combined);
     TwoVenusFigure {
         cache_mb,
@@ -224,39 +195,27 @@ fn fig8_jobs() -> Vec<(u64, u64)> {
 /// grid order regardless of which point finishes first.
 pub fn fig8(store: &TraceStore, cfg: &RunConfig, scale: Scale, seed: u64) -> Fig8Result {
     let jobs = fig8_jobs();
-    let points = par_sweep(cfg.threads, cfg.progress, &jobs, |&(cache_mb, block)| {
-        let r = two_venus_report(
-            store,
-            cfg.timeline_ns,
-            cache_mb * MB,
-            block,
-            true,
-            WritePolicy::WriteBehind,
-            scale,
-            seed,
-        );
-        Fig8Point {
+    let runs = par_sweep(cfg.threads, cfg.progress, &jobs, |&(cache_mb, block)| {
+        let config =
+            SimConfig { timeline_ns: cfg.timeline_ns, ..fig8_config(cache_mb * MB, block) };
+        let r = simulation(store, config, &VENUS_PAIR, scale, seed).run();
+        let point = Fig8Point {
             cache_mb,
             block_size: block,
             idle_secs: r.idle_secs(),
             wall_secs: r.wall_secs(),
             utilization: r.utilization(),
-        }
+        };
+        (point, r.cpu_busy)
     });
-    // No-idle baseline: busy time of any run (identical CPU demand).
-    let baseline = {
-        let r = two_venus_report(
-            store,
-            cfg.timeline_ns,
-            256 * MB,
-            4096,
-            true,
-            WritePolicy::WriteBehind,
-            scale,
-            seed,
-        );
-        r.cpu_busy.as_secs_f64()
-    };
+    // No-idle baseline: the busy time of the (256 MB, 4 KB) point (every
+    // point has the same CPU demand).
+    let baseline = runs
+        .iter()
+        .find(|(p, _)| (p.cache_mb, p.block_size) == (256, 4096))
+        .map(|(_, busy)| busy.as_secs_f64())
+        .expect("the grid has a 256 MB, 4 KB point");
+    let points = runs.into_iter().map(|(p, _)| p).collect();
     Fig8Result { points, no_idle_baseline_secs: baseline }
 }
 

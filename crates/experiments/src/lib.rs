@@ -42,7 +42,7 @@ pub use campaign::{run_campaign_in, CampaignSpec};
 pub use config::RunConfig;
 pub use modern::{modern_comparison, render_modern, DeviceEra, ModernComparison};
 pub use par_sweep::{par_sweep, serial_sweep};
-pub use runner::{scaled_spec, Scale};
+pub use runner::{app_processes, scaled_spec, simulation, Scale, VENUS_PAIR};
 pub use trace_store::{
     SpilledCursor, StoreConfig, StoreFootprint, TraceArtifact, TraceStore, SPILL_BLOCK_EVENTS,
 };

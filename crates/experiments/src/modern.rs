@@ -26,16 +26,14 @@
 
 use crate::config::RunConfig;
 use crate::par_sweep::par_sweep;
-use crate::runner::Scale;
+use crate::runner::{simulation, Scale, VENUS_PAIR};
 use crate::trace_store::TraceStore;
-use buffer_cache::WritePolicy;
-use iosim::{ClusterReport, DeviceSpec, ShardedConfig, ShardedSimulation, SimConfig, SimReport, Simulation};
+use iosim::{ClusterReport, DeviceSpec, ShardedConfig, ShardedSimulation, SimConfig};
 use iotrace::{Direction, IoEvent, Synchrony, Trace};
 use serde::{Deserialize, Serialize};
 use sim_core::units::{KB, MB};
 use sim_core::{SimDuration, SimTime};
 use storage_model::TieredParams;
-use workload::AppKind;
 
 /// How much faster a 2026 CPU chews through the traced compute phases
 /// than the 1991 Y-MP. Order-of-magnitude: ~3 sustained GFLOPS then,
@@ -96,30 +94,6 @@ pub struct ModernComparison {
     pub cluster: ClusterReport,
 }
 
-fn venus_pair_report(
-    store: &TraceStore,
-    cfg: &RunConfig,
-    era: DeviceEra,
-    cache_mb: u64,
-    scale: Scale,
-    seed: u64,
-) -> SimReport {
-    let mut config = era_config(era, cache_mb * MB);
-    config.timeline_ns = cfg.timeline_ns;
-    {
-        let c = config.cache.as_mut().expect("buffered config has a cache");
-        c.block_size = 4096;
-        c.read_ahead = true;
-        c.write_policy = WritePolicy::WriteBehind;
-    }
-    let mut sim = Simulation::new(config);
-    sim.add_process_feed(1, "venus#1", store.feed(AppKind::Venus, 1, seed, scale))
-        .expect("valid process");
-    sim.add_process_feed(2, "venus#2", store.feed(AppKind::Venus, 2, seed + 1, scale))
-        .expect("valid process");
-    sim.run()
-}
-
 /// A mixed staging workload for the embedded cluster run: sequential
 /// writes (burst-buffer checkpoints) interleaved with re-reads.
 fn staging_trace(pid: u32, n_ios: u64) -> Trace {
@@ -174,8 +148,8 @@ pub fn modern_comparison(
         }
     }
     let reports = par_sweep(cfg.threads, cfg.progress, &jobs, |&(era, cache_mb)| {
-        let r = venus_pair_report(store, cfg, era, cache_mb, scale, seed);
-        (era, cache_mb, r)
+        let config = SimConfig { timeline_ns: cfg.timeline_ns, ..era_config(era, cache_mb * MB) };
+        (era, cache_mb, simulation(store, config, &VENUS_PAIR, scale, seed).run())
     });
 
     let mut era_1991 = Vec::new();

@@ -10,7 +10,7 @@
 use crate::config::RunConfig;
 use crate::render::{pct, TextTable};
 use crate::runner::Scale;
-use iosim::{SimConfig, Simulation};
+use iosim::{ProcessFeed, SimConfig, Simulation};
 use iotrace::{Direction, IoEvent, Trace};
 use serde::{Deserialize, Serialize};
 use sim_core::units::KB;
@@ -121,7 +121,7 @@ pub fn nplus1(cfg: &RunConfig, cpu_counts: &[usize], scale: Scale, seed: u64) ->
         let mut sim = Simulation::new(config);
         for (j, events) in fleet.iter().take(jobs).enumerate() {
             let pid = (j + 1) as u32;
-            sim.add_process_shared(pid, format!("job#{pid}"), events.clone())
+            sim.add_process_feed(pid, format!("job#{pid}"), ProcessFeed::Shared(events.clone()))
                 .expect("valid process");
         }
         let r = sim.run();

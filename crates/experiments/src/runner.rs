@@ -1,6 +1,10 @@
 //! Shared experiment plumbing: trace generation (optionally scaled down
-//! for fast CI runs) and the canonical simulator setups.
+//! for fast CI runs) and the canonical simulator setup, [`simulation`],
+//! which every figure, claim, ablation, served point and campaign
+//! builder replays its application traces through.
 
+use crate::trace_store::TraceStore;
+use iosim::{SimConfig, Simulation};
 use sim_core::SimDuration;
 use workload::{AppKind, AppSpec};
 
@@ -44,6 +48,38 @@ pub fn scaled_spec(kind: AppKind, pid: u32, scale: Scale) -> AppSpec {
         }
     }
     spec
+}
+
+/// The two venus copies of Figures 6–8, C1, C4 and the ablations.
+pub const VENUS_PAIR: [AppKind; 2] = [AppKind::Venus, AppKind::Venus];
+
+/// The trace keys `(app, pid, seed)` of a run of `apps`: process `i` is
+/// pid `i + 1` and replays `seed + i`.
+pub fn app_processes(
+    apps: &[AppKind],
+    seed: u64,
+) -> impl Iterator<Item = (AppKind, u32, u64)> + '_ {
+    (1u32..).zip(apps).map(move |(pid, &kind)| (kind, pid, seed + u64::from(pid - 1)))
+}
+
+/// A simulation under `config` with one process per entry of `apps`,
+/// keyed by [`app_processes`] and named `{app}#{pid}`. Each replays
+/// [`TraceStore::feed`]: a shared slice, or a streaming cursor when the
+/// store has a memory budget; the report is the same either way. Add
+/// hand-built traces at the next pids before running.
+pub fn simulation(
+    store: &TraceStore,
+    config: SimConfig,
+    apps: &[AppKind],
+    scale: Scale,
+    seed: u64,
+) -> Simulation {
+    let mut sim = Simulation::new(config);
+    for (kind, pid, seed) in app_processes(apps, seed) {
+        let feed = store.feed(kind, pid, seed, scale);
+        sim.add_process_feed(pid, format!("{}#{pid}", kind.name()), feed).expect("valid process");
+    }
+    sim
 }
 
 #[cfg(test)]

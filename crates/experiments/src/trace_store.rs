@@ -13,7 +13,7 @@
 //! `Arc<[IoEvent]>` that every sweep point, worker thread, and simulated
 //! process replays by cursor with zero copies (the simulator applies the
 //! pid/file-id namespacing on the fly; see
-//! `iosim::Simulation::add_process_shared`).
+//! `iosim::Simulation::add_process_feed`).
 //!
 //! ## Keying
 //!
@@ -430,9 +430,9 @@ impl TraceStore {
         art
     }
 
-    /// The shared event slice for one application instance — the
-    /// zero-copy replay handle. Reloads a spilled entry; use
-    /// [`TraceStore::feed`] for bounded-memory replay.
+    /// The whole event slice for one application instance. Reloads a
+    /// spilled entry and charges it to the budget; simulations replay
+    /// through [`TraceStore::feed`] instead (see [`crate::simulation`]).
     pub fn events(&self, kind: AppKind, pid: u32, seed: u64, scale: Scale) -> Arc<[IoEvent]> {
         self.artifact(kind, pid, seed, scale).events()
     }

@@ -8,13 +8,13 @@
 //! (config, seed) inputs, so any divergence here means the harness
 //! leaked scheduling order into the results.
 
-use buffer_cache::WritePolicy;
-use experiments::figures::two_venus_report;
+use experiments::figures::fig8_config;
 use experiments::{
-    ablations, par_sweep, scaled_spec, serial_sweep, RunConfig, Scale, TraceStore,
+    ablations, app_processes, par_sweep, scaled_spec, serial_sweep, simulation, RunConfig, Scale,
+    TraceStore, VENUS_PAIR,
 };
 use iosim::{SimConfig, SimReport, Simulation};
-use workload::{generate, AppKind};
+use workload::generate;
 
 const MB: u64 = 1024 * 1024;
 
@@ -38,16 +38,8 @@ fn run_point(
     timeline_ns: Option<u64>,
 ) -> impl Fn(&(u64, u64)) -> SimReport + Sync + '_ {
     move |&(mb, block)| {
-        two_venus_report(
-            store,
-            timeline_ns,
-            mb * MB,
-            block,
-            true,
-            WritePolicy::WriteBehind,
-            Scale(32),
-            42,
-        )
+        let config = SimConfig { timeline_ns, ..fig8_config(mb * MB, block) };
+        simulation(store, config, &VENUS_PAIR, Scale(32), 42).run()
     }
 }
 
@@ -84,34 +76,21 @@ fn parallel_sweep_is_stable_across_repeat_runs() {
     assert_eq!(store.footprint(), cold, "a warm sweep must generate no trace");
 }
 
-/// The two-venus setup with traces generated *fresh* at every call,
-/// bypassing the memoizing [`TraceStore`] entirely — the pre-store code
-/// path, kept here as the reference the store must match byte-for-byte.
-fn fresh_two_venus_report(
-    cache_bytes: u64,
-    block_size: u64,
-    read_ahead: bool,
-    write_policy: WritePolicy,
-    scale: Scale,
-    seed: u64,
-) -> SimReport {
-    let mut config = SimConfig::buffered(cache_bytes);
-    {
-        let c = config.cache.as_mut().expect("buffered config has a cache");
-        c.block_size = block_size;
-        c.read_ahead = read_ahead;
-        c.write_policy = write_policy;
-    }
+/// The two-venus run with traces generated *fresh* at every call and
+/// copied in through `add_process`, bypassing the memoizing
+/// [`TraceStore`] entirely — the pre-store code path, kept here as the
+/// reference the store must match byte-for-byte.
+fn fresh_two_venus_run(config: SimConfig, scale: Scale, seed: u64) -> SimReport {
     let mut sim = Simulation::new(config);
-    sim.add_process(1, "venus#1", &generate(&scaled_spec(AppKind::Venus, 1, scale), seed))
-        .expect("valid process");
-    sim.add_process(2, "venus#2", &generate(&scaled_spec(AppKind::Venus, 2, scale), seed + 1))
-        .expect("valid process");
+    for (kind, pid, seed) in app_processes(&VENUS_PAIR, seed) {
+        let trace = generate(&scaled_spec(kind, pid, scale), seed);
+        sim.add_process(pid, format!("{}#{pid}", kind.name()), &trace).expect("valid process");
+    }
     sim.run()
 }
 
 fn fresh_point(&(mb, block): &(u64, u64)) -> SimReport {
-    fresh_two_venus_report(mb * MB, block, true, WritePolicy::WriteBehind, Scale(32), 42)
+    fresh_two_venus_run(fig8_config(mb * MB, block), Scale(32), 42)
 }
 
 #[test]
@@ -165,12 +144,7 @@ fn ablations_match_fresh_generation() {
     let fresh_points = serial_sweep(&quanta, |&ms| {
         let mut config = SimConfig::buffered(32 * MB);
         config.sched.quantum = sim_core::SimDuration::from_millis(ms);
-        let mut sim = Simulation::new(config);
-        sim.add_process(1, "venus#1", &generate(&scaled_spec(AppKind::Venus, 1, scale), seed))
-            .expect("valid process");
-        sim.add_process(2, "venus#2", &generate(&scaled_spec(AppKind::Venus, 2, scale), seed + 1))
-            .expect("valid process");
-        let r = sim.run();
+        let r = fresh_two_venus_run(config, scale, seed);
         (r.idle_secs(), r.utilization(), r.wall_secs())
     });
     assert_eq!(memoized.points.len(), fresh_points.len());

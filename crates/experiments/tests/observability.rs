@@ -18,9 +18,8 @@
 //! 4. the exported Chrome trace-event JSON parses, and names both the
 //!    simulated-process tracks and the host worker tracks.
 
-use buffer_cache::WritePolicy;
-use experiments::figures::two_venus_report;
-use experiments::{par_sweep, serial_sweep, Scale, TraceStore};
+use experiments::figures::fig8_config;
+use experiments::{par_sweep, serial_sweep, simulation, Scale, TraceStore, VENUS_PAIR};
 use std::path::Path;
 
 const MB: u64 = 1024 * 1024;
@@ -30,7 +29,7 @@ const GRID: [(u64, u64); 3] = [(4, 4096), (16, 8192), (32, 4096)];
 
 fn sweep_json(store: &TraceStore, parallel: bool) -> Vec<String> {
     let run = |&(mb, block): &(u64, u64)| {
-        two_venus_report(store, None, mb * MB, block, true, WritePolicy::WriteBehind, Scale(32), 42)
+        simulation(store, fig8_config(mb * MB, block), &VENUS_PAIR, Scale(32), 42).run()
     };
     let reports = if parallel { par_sweep(4, false, &GRID, run) } else { serial_sweep(&GRID, run) };
     reports

@@ -7,22 +7,14 @@
 //! timelines land in one process-wide store, so one `#[test]` runs every
 //! phase in sequence and drains the store between them.
 
-use experiments::figures::two_venus_report;
-use experiments::{run_campaign_in, CampaignSpec, Scale, TraceStore};
+use experiments::{run_campaign_in, simulation, CampaignSpec, Scale, TraceStore, VENUS_PAIR};
+use iosim::SimConfig;
 use serde_json::to_string_pretty;
 
 /// A fig8-style point, serialized exactly like `mio sim --json`.
 fn fig8_json(store: &TraceStore, timeline_ns: Option<u64>) -> String {
-    let r = two_venus_report(
-        store,
-        timeline_ns,
-        8 * sim_core::units::MB,
-        4096,
-        true,
-        buffer_cache::WritePolicy::WriteBehind,
-        Scale(64),
-        42,
-    );
+    let config = SimConfig { timeline_ns, ..SimConfig::buffered(8 * sim_core::units::MB) };
+    let r = simulation(store, config, &VENUS_PAIR, Scale(64), 42).run();
     to_string_pretty(&r).expect("serialize report")
 }
 

@@ -4,7 +4,7 @@
 //! `iosim`'s `zero_alloc` test feeds `Simulation` hand-built in-memory
 //! `Trace`s. This one replays the paper's venus workload the way every
 //! figure, campaign and served request does, through
-//! `TraceStore::feed`: two warm `two_venus_report` points 16x apart in
+//! `TraceStore::feed`: two warm `experiments::simulation` points 16x apart in
 //! scale run under a counting global allocator and the counts are
 //! differenced. Setup and teardown allocations are the same in both runs
 //! and cancel; what remains is the marginal cost of the extra simulated
@@ -12,9 +12,8 @@
 //! recording off and on, and replaying spilled frame files through
 //! streaming cursors.
 
-use buffer_cache::WritePolicy;
-use experiments::figures::two_venus_report;
-use experiments::{Scale, StoreConfig, TraceStore};
+use experiments::{simulation, Scale, StoreConfig, TraceStore, VENUS_PAIR};
+use iosim::SimConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,7 +56,7 @@ const LIMIT: f64 = 0.01;
 /// One Figure 6-style point (2 x venus, 32 MB cache, 4 KB blocks)
 /// replayed from `store`; returns the simulated I/Os it issued.
 fn point(store: &TraceStore, scale: Scale) -> u64 {
-    let r = two_venus_report(store, None, 32 * MB, 4096, true, WritePolicy::WriteBehind, scale, 42);
+    let r = simulation(store, SimConfig::buffered(32 * MB), &VENUS_PAIR, scale, 42).run();
     r.processes.iter().map(|p| p.ios_issued).sum()
 }
 

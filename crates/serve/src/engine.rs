@@ -52,13 +52,12 @@
 //! report again.
 
 use crate::canon::canonical_hash;
-use crate::protocol::{CampaignPointSpec, Fig8PointSpec, RequestBody};
+use crate::protocol::{CampaignPointSpec, RequestBody};
 use buffer_cache::lru::LruIndex;
-use buffer_cache::WritePolicy;
-use experiments::figures::two_venus_report;
-use experiments::{run_campaign_in, CampaignSpec, Scale, StoreConfig, TraceStore};
+use experiments::{
+    run_campaign_in, simulation, CampaignSpec, Scale, StoreConfig, TraceStore, VENUS_PAIR,
+};
 use serde::{Serialize, Value};
-use sim_core::units::MB;
 use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -729,12 +728,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
     }
 }
 
-/// A fig8 point's cache capacity in bytes; `None` when `cache_mb` MB
-/// does not fit in a `u64`.
-fn fig8_capacity(s: &Fig8PointSpec) -> Option<u64> {
-    s.cache_mb.checked_mul(MB)
-}
-
 /// A campaign's total process count; `None` on overflow.
 fn campaign_procs(c: &CampaignPointSpec) -> Option<usize> {
     c.groups.checked_mul(c.procs)
@@ -757,22 +750,7 @@ fn cost_of(body: &RequestBody) -> u64 {
 fn validate(body: &RequestBody) -> Result<(), SubmitError> {
     let bad = |msg: &str| Err(SubmitError::Invalid(msg.into()));
     match body {
-        RequestBody::Fig8Point(s) => {
-            if s.cache_mb == 0 || s.block == 0 {
-                return bad("fig8 point sizes must be positive");
-            }
-            match fig8_capacity(s) {
-                None => return bad("cache_mb is too large"),
-                Some(capacity) if capacity < s.block => {
-                    return bad("the cache must hold at least one block")
-                }
-                Some(_) => {}
-            }
-            if s.scale == 0 {
-                return bad("scale must be >= 1");
-            }
-            Ok(())
-        }
+        RequestBody::Fig8Point(s) => s.sim_config().map(drop).or_else(bad),
         RequestBody::Campaign(c) => {
             if c.groups == 0 || c.procs == 0 {
                 return bad("campaign counts must be positive");
@@ -801,17 +779,10 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
 /// only ever runs validated bodies.
 pub fn execute(store: &TraceStore, body: &RequestBody) -> Value {
     match body {
-        RequestBody::Fig8Point(s) => two_venus_report(
-            store,
-            None,
-            fig8_capacity(s).expect("cache_mb * MB overflows u64"),
-            s.block,
-            true,
-            WritePolicy::WriteBehind,
-            Scale(s.scale),
-            s.seed,
-        )
-        .to_value(),
+        RequestBody::Fig8Point(s) => {
+            let config = s.sim_config().expect("a validated point");
+            simulation(store, config, &VENUS_PAIR, Scale(s.scale), s.seed).run().to_value()
+        }
         RequestBody::Campaign(c) => {
             let mut spec = CampaignSpec::datacenter(c.groups, c.procs);
             spec.scale = Scale(c.scale);
@@ -828,6 +799,7 @@ pub fn execute(store: &TraceStore, body: &RequestBody) -> Value {
 mod tests {
     use super::*;
     use crate::protocol::{CampaignPointSpec, Fig8PointSpec};
+    use sim_core::units::MB;
 
     fn point(cache_mb: u64) -> RequestBody {
         RequestBody::Fig8Point(Fig8PointSpec { cache_mb, block: 4096, scale: 64, seed: 42 })

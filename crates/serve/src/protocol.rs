@@ -15,7 +15,10 @@
 //! served from the result cache. On the wire it is the report's compact
 //! JSON, the same bytes for every answer to one request.
 
+use experiments::figures::fig8_config;
+use iosim::SimConfig;
 use serde::{Deserialize, Serialize, Value};
+use sim_core::units::MB;
 use std::fmt::Write;
 
 /// What one request asks the daemon to simulate (or report).
@@ -50,8 +53,30 @@ pub struct Fig8PointSpec {
     /// Trace scale divisor (1 = the paper's full run lengths, 8 =
     /// `--quick`).
     pub scale: u32,
-    /// Base trace seed (venus#2 uses `seed + 1`, like every figure).
+    /// Base trace seed; process `i` replays `seed + i`, like every
+    /// figure (`experiments::app_processes`).
     pub seed: u64,
+}
+
+impl Fig8PointSpec {
+    /// The point's simulator configuration ([`fig8_config`]), or why
+    /// the point cannot run: both sizes and the scale must be positive,
+    /// and `cache_mb` MB must fit in a `u64` and hold at least one
+    /// block. `mio sim --fig8-point`, `mio submit` and the daemon all
+    /// check a point here.
+    pub fn sim_config(&self) -> Result<SimConfig, &'static str> {
+        if self.cache_mb == 0 || self.block == 0 {
+            return Err("fig8 point sizes must be positive");
+        }
+        let capacity = self.cache_mb.checked_mul(MB).ok_or("cache_mb is too large")?;
+        if capacity < self.block {
+            return Err("the cache must hold at least one block");
+        }
+        if self.scale == 0 {
+            return Err("scale must be >= 1");
+        }
+        Ok(fig8_config(capacity, self.block))
+    }
 }
 
 /// Parameters of one sharded campaign point. Defaults mirror

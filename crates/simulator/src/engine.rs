@@ -24,14 +24,13 @@
 
 use crate::config::SimConfig;
 use crate::metrics::{ProcessMetrics, SimReport};
-use crate::process::{EventSource, ProcState, ProcessFeed, ProcessState};
+use crate::process::{ProcState, ProcessFeed, ProcessState};
 use buffer_cache::{BlockCache, ByteRange, ReadOutcome, WriteOutcome};
 use iotrace::{Direction, IoEvent, Synchrony, Trace};
 use rustc_hash::FxHashMap;
 use sim_core::{EventQueue, RateSeries, SimDuration, SimTime};
 use storage_model::{AccessKind, AnyDevice, BlockDevice};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Why a process could not be added to a [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,10 +271,32 @@ impl Simulation {
         }
     }
 
-    /// Add a process replaying `trace`. File ids are namespaced by the
-    /// given `pid`, which must be unique and < 65536 (as must the trace's
-    /// file ids). Copies the trace's events once; for the zero-copy path
-    /// shared across sweep points use [`Simulation::add_process_shared`].
+    /// Add a process replaying `trace`. Copies the trace's events once;
+    /// for replay shared across sweep points, or streamed from disk,
+    /// use [`Simulation::add_process_feed`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Simulation::add_process_feed`].
+    pub fn add_process(
+        &mut self,
+        pid: u32,
+        name: impl Into<String>,
+        trace: &Trace,
+    ) -> Result<(), AddProcessError> {
+        let events = trace.events().copied().collect();
+        self.add_process_feed(pid, name, ProcessFeed::Shared(events))
+    }
+
+    /// Add a process replaying `feed`. File ids are namespaced by the
+    /// given `pid`, which must be unique and < 65536 (as must the feed's
+    /// file ids). Neither feed kind is copied or remapped up front: the
+    /// pid/file-id namespacing (`file_id |= pid << 16`) is applied per
+    /// event during replay, so one [`ProcessFeed::Shared`] slice can back
+    /// any number of processes and concurrent simulations, and a
+    /// [`ProcessFeed::Streamed`] source keeps only its current decode
+    /// block resident. Replay order, and so every report byte, is the
+    /// same for both kinds of one trace.
     ///
     /// # Errors
     ///
@@ -286,61 +307,12 @@ impl Simulation {
     ///   `file_id |= pid << 16` namespacing and silently share cache
     ///   blocks.
     /// * [`AddProcessError::FileIdTooWide`] — some event's `file_id`
-    ///   overlaps the pid tag bits (`file_id >= 65536`).
+    ///   overlaps the pid tag bits (`file_id >= 65536`); a streamed
+    ///   source is checked by its index-backed
+    ///   [`crate::EventSource::max_file_id`] bound rather than decoded.
     ///
     /// On error the simulation is unchanged; no partial process is
     /// registered.
-    pub fn add_process(
-        &mut self,
-        pid: u32,
-        name: impl Into<String>,
-        trace: &Trace,
-    ) -> Result<(), AddProcessError> {
-        self.add_process_shared(pid, name, trace.events().copied().collect())
-    }
-
-    /// Add a process replaying a shared, immutable event slice — the
-    /// zero-copy path. The slice is validated but never copied or
-    /// remapped up front; the pid/file-id namespacing
-    /// (`file_id |= pid << 16`) is applied per event during replay, so
-    /// one `Arc<[IoEvent]>` can back any number of processes and
-    /// concurrent simulations.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulation::add_process`]: `PidTooWide`,
-    /// `DuplicatePid`, or `FileIdTooWide`, with the simulation left
-    /// unchanged.
-    pub fn add_process_shared(
-        &mut self,
-        pid: u32,
-        name: impl Into<String>,
-        events: Arc<[IoEvent]>,
-    ) -> Result<(), AddProcessError> {
-        self.add_process_feed(pid, name, ProcessFeed::Shared(events))
-    }
-
-    /// Add a process replaying a streaming [`EventSource`] — the
-    /// bounded-memory path. Only the source's current decode block is
-    /// ever resident; replay order (and therefore every report byte) is
-    /// identical to feeding the same trace through
-    /// [`Simulation::add_process_shared`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulation::add_process`]; the file-id check
-    /// uses the source's index-backed [`EventSource::max_file_id`] bound
-    /// rather than decoding the stream.
-    pub fn add_process_streamed(
-        &mut self,
-        pid: u32,
-        name: impl Into<String>,
-        source: Box<dyn EventSource>,
-    ) -> Result<(), AddProcessError> {
-        self.add_process_feed(pid, name, ProcessFeed::Streamed(source))
-    }
-
-    /// Shared validation + registration behind both feed kinds.
     pub fn add_process_feed(
         &mut self,
         pid: u32,
@@ -1035,7 +1007,7 @@ impl Simulation {
 
     /// Admit a process mid-run at time `now` (the sharded admission
     /// scheduler's entry point). Validation matches
-    /// [`Simulation::add_process_shared`]; on success the process is
+    /// [`Simulation::add_process_feed`]; on success the process is
     /// dispatched immediately if a CPU is free.
     ///
     /// # Errors
@@ -1539,8 +1511,8 @@ mod tests {
         let shared: std::sync::Arc<[IoEvent]> = trace.events().copied().collect();
         let via_shared = {
             let mut sim = Simulation::new(SimConfig::buffered(8 * MB));
-            sim.add_process_shared(1, "a", shared.clone()).expect("valid");
-            sim.add_process_shared(2, "b", shared.clone()).expect("valid");
+            sim.add_process_feed(1, "a", ProcessFeed::Shared(shared.clone())).expect("valid");
+            sim.add_process_feed(2, "b", ProcessFeed::Shared(shared.clone())).expect("valid");
             sim.run()
         };
         let via_traces = {

@@ -58,8 +58,8 @@ pub trait EventSource: Send + std::fmt::Debug {
 }
 
 /// What a process replays: a resident shared slice or a streaming
-/// source. Constructed by callers of `Simulation::add_process_shared` /
-/// `add_process_streamed` (and their sharded equivalents).
+/// source. Handed to `Simulation::add_process_feed` or
+/// `ShardedSimulation::add_process_feed`.
 #[derive(Debug)]
 pub enum ProcessFeed {
     /// A resident, immutable, shareable event slice.

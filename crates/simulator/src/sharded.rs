@@ -55,14 +55,14 @@
 
 use crate::config::SimConfig;
 use crate::engine::{AddProcessError, OutMsg, Simulation};
-use crate::process::{EventSource, ProcessFeed};
+use crate::process::ProcessFeed;
 use buffer_cache::{range_owner, CacheStats};
-use iotrace::{IoEvent, Trace};
+use iotrace::Trace;
 use serde::{Deserialize, Serialize};
 use sim_core::{EpochClock, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 use storage_model::DeviceStats;
 
 /// Cluster shape and scheduling policy for a sharded run.
@@ -239,45 +239,19 @@ impl ShardedSimulation {
         name: impl Into<String>,
         trace: &Trace,
     ) -> Result<(), AddProcessError> {
-        self.add_process_shared(group, pid, name, trace.events().copied().collect())
-    }
-
-    /// Queue a process replaying a shared, immutable event slice — the
-    /// zero-copy path, mirroring [`Simulation::add_process_shared`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedSimulation::add_process`].
-    pub fn add_process_shared(
-        &mut self,
-        group: usize,
-        pid: u32,
-        name: impl Into<String>,
-        events: Arc<[IoEvent]>,
-    ) -> Result<(), AddProcessError> {
+        let events = trace.events().copied().collect();
         self.add_process_feed(group, pid, name, ProcessFeed::Shared(events))
     }
 
-    /// Queue a process replaying a streaming [`EventSource`] — the
-    /// bounded-memory path, mirroring
-    /// [`Simulation::add_process_streamed`]. Each queued process needs
-    /// its own source (its own cursor); sources backed by the same
-    /// spilled trace share decoded blocks at the storage layer.
+    /// Queue a process replaying `feed`: a shared slice, or a streaming
+    /// source (each queued process needs its own cursor; cursors over
+    /// the same spilled trace share decoded blocks at the storage
+    /// layer). Copies nothing; [`ShardedSimulation::add_process`] is the
+    /// copying path for a hand-built [`Trace`].
     ///
     /// # Errors
     ///
     /// Same contract as [`ShardedSimulation::add_process`].
-    pub fn add_process_streamed(
-        &mut self,
-        group: usize,
-        pid: u32,
-        name: impl Into<String>,
-        source: Box<dyn EventSource>,
-    ) -> Result<(), AddProcessError> {
-        self.add_process_feed(group, pid, name, ProcessFeed::Streamed(source))
-    }
-
-    /// Shared validation + parking behind both feed kinds.
     pub fn add_process_feed(
         &mut self,
         group: usize,
@@ -533,7 +507,7 @@ fn admit_ready(
 mod tests {
     use super::*;
     use crate::engine::SHARED_FILE_BIT;
-    use iotrace::{Direction, Synchrony};
+    use iotrace::{Direction, IoEvent, Synchrony};
     use sim_core::units::{KB, MB};
 
     fn reader_trace(n: u64, io: u64, gap: SimDuration) -> Trace {

@@ -33,12 +33,12 @@ use experiments::ablations::{all_ablations, render_ablations};
 use experiments::claims::{all_claims, render_claims};
 use experiments::config::{take_flag, take_switch};
 use experiments::extras::{amdahl_table, compression_table, render_amdahl, render_compression};
-use experiments::figures::{fig3, fig4, fig6, fig7, fig8, render_fig8, two_venus_report};
+use experiments::figures::{fig3, fig4, fig6, fig7, fig8, render_fig8};
 use experiments::nplus1::{nplus1, render_nplus1};
 use experiments::tables::{render_table1, render_table2, table1};
 use experiments::{
-    modern_comparison, par_sweep, render_modern, run_campaign_in, CampaignSpec, DeviceEra,
-    RunConfig,
+    modern_comparison, par_sweep, render_modern, run_campaign_in, simulation, CampaignSpec,
+    DeviceEra, RunConfig, VENUS_PAIR,
 };
 use miller_core::{
     analyze_sequentiality, classify_trace, detect_cycles, measure_amplification,
@@ -437,12 +437,13 @@ fn parse_campaign(raw: &str) -> Result<(usize, usize), String> {
     Ok((groups, procs))
 }
 
-/// Parse `--fig8-point MB:BLOCK` (e.g. `32:4096`).
-fn parse_fig8_point(raw: &str) -> Result<(u64, u64), String> {
+/// Parse `--fig8-point MB:BLOCK` (e.g. `32:4096`) into the point at
+/// `scale` and `seed`, checked as the daemon checks it.
+fn parse_fig8_point(raw: &str, scale: u32, seed: u64) -> Result<serve::Fig8PointSpec, String> {
     let (mb, block) = raw
         .split_once(':')
         .ok_or_else(|| format!("--fig8-point wants MB:BLOCK, got `{raw}`"))?;
-    let mb: u64 = mb
+    let cache_mb: u64 = mb
         .trim()
         .parse()
         .map_err(|_| format!("--fig8-point cache size must be an integer MB, got `{mb}`"))?;
@@ -450,10 +451,9 @@ fn parse_fig8_point(raw: &str) -> Result<(u64, u64), String> {
         .trim()
         .parse()
         .map_err(|_| format!("--fig8-point block size must be an integer, got `{block}`"))?;
-    if mb == 0 || block == 0 {
-        return Err("--fig8-point sizes must be positive".into());
-    }
-    Ok((mb, block))
+    let point = serve::Fig8PointSpec { cache_mb, block, scale, seed };
+    point.sim_config().map_err(|e| format!("--fig8-point {raw}: {e}"))?;
+    Ok(point)
 }
 
 /// `mio sim`: Figures 6–8 and the n+1 rule, or one of the narrower runs
@@ -472,8 +472,9 @@ fn parse_fig8_point(raw: &str) -> Result<(u64, u64), String> {
 fn cmd_sim(rest: &[String]) -> Result<(), String> {
     let mut args = rest.to_vec();
     let run = Run::parse(&mut args)?;
-    let fig8_point =
-        take_flag(&mut args, "--fig8-point")?.map(|r| parse_fig8_point(&r)).transpose()?;
+    let fig8_point = take_flag(&mut args, "--fig8-point")?
+        .map(|r| parse_fig8_point(&r, run.scale.0, 42))
+        .transpose()?;
     let campaign = take_flag(&mut args, "--campaign")?.map(|r| parse_campaign(&r)).transpose()?;
     let dfg_out = take_flag(&mut args, "--dfg-out")?;
     run.start("sim", &args)?;
@@ -504,23 +505,16 @@ fn cmd_sim(rest: &[String]) -> Result<(), String> {
         return run.finish(&report);
     }
 
-    if let Some((mb, block)) = fig8_point {
+    if let Some(point) = fig8_point {
         // Through the sweep harness (a 1-point sweep) so a profiled run
         // carries a host worker track alongside the simulated-process
         // tracks — the trace then demonstrates both clock domains.
-        let mut reports = par_sweep(cfg.threads, cfg.progress, &[(mb, block)], |&(mb, block)| {
-            two_venus_report(
-                store,
-                cfg.timeline_ns,
-                mb * MB,
-                block,
-                true,
-                WritePolicy::WriteBehind,
-                scale,
-                42,
-            )
+        let config = SimConfig { timeline_ns: cfg.timeline_ns, ..point.sim_config()? };
+        let mut reports = par_sweep(cfg.threads, cfg.progress, &[config], |config| {
+            simulation(store, config.clone(), &VENUS_PAIR, scale, point.seed).run()
         });
         let r = reports.pop().expect("one sweep point");
+        let (mb, block) = (point.cache_mb, point.block);
         println!(
             "fig8 point {mb} MB / {block} B blocks: idle {:.1}s, utilization {:.1}%, hit ratio {:.3}",
             r.idle_secs(),
@@ -663,13 +657,8 @@ fn submit_body(args: &mut Vec<String>) -> Result<serve::RequestBody, String> {
         );
     }
     if let Some(raw) = fig8 {
-        let (cache_mb, block) = parse_fig8_point(&raw)?;
-        return Ok(serve::RequestBody::Fig8Point(serve::Fig8PointSpec {
-            cache_mb,
-            block,
-            scale: scale.unwrap_or(if quick { 8 } else { 1 }),
-            seed,
-        }));
+        let scale = scale.unwrap_or(if quick { 8 } else { 1 });
+        return Ok(serve::RequestBody::Fig8Point(parse_fig8_point(&raw, scale, seed)?));
     }
     if let Some(raw) = campaign {
         let (groups, procs) = parse_campaign(&raw)?;

@@ -126,11 +126,21 @@ fn run_subcommands_reject_bad_flags_with_exit_2() {
         &["tables", "--trace-dir", "--quick"],
         &["claims", "--devices", "bogus"],
         &["sim", "--quick", "--json"],
+        // A cache smaller than one block, and one whose size in bytes
+        // overflows a u64.
+        &["sim", "--quick", "--fig8-point", "1:4194304"],
+        &["sim", "--quick", "--fig8-point", "17592186044416:4096"],
     ] {
         let (code, err) = mio_status(args);
         assert_eq!(code, Some(2), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+    // `mio submit` checks a point as `mio sim` and the daemon do, before
+    // it connects.
+    let (code, err) =
+        mio_status(&["submit", "--socket", "unused.sock", "--quick", "--fig8-point", "1:4194304"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("at least one block"), "{err}");
 }
 
 #[test]
