@@ -875,3 +875,46 @@ fn delayed_writes_flush_only_the_runs_that_are_ready() {
         ],
     );
 }
+
+#[test]
+fn a_run_whose_page_holds_no_later_dirt_flushes_by_its_stamp_alone() {
+    // Each flushed run is the newest dirt in its page: taken whole, under
+    // budgets that end inside it, and after a run earlier in the same page
+    // was flushed.
+    scenario(32, &[write(1, 1, 0, 6), write(1, 2, 0, 6), flush(24), flush(48)]);
+    scenario(
+        32,
+        &[write(1, 1, 0, 6), flush(5), flush(3), flush(48), write(1, 1, 6, 4), flush(48)],
+    );
+}
+
+#[test]
+fn a_page_re_dirtied_after_its_run_was_queued_keeps_its_stale_blocks_queued() {
+    // Run 0..8 and run 16..20 share a page. File 2 evicts blocks 0..3,
+    // and rewriting 0..2 evicts 3 and 4 and re-dirties 0 and 1. At the
+    // same instant blocks 0 and 1 carry the first run's stamp again, so
+    // that run takes them; at a later instant they are stale for it and
+    // only the rewrite's own run takes them.
+    let rewrite = |gap: Op| {
+        [
+            write(1, 1, 0, 8),
+            gap,
+            write(1, 1, 16, 4),
+            gap,
+            read(1, 2, 0, 3),
+            gap,
+            write(1, 1, 0, 2),
+            flush(3),
+            flush(48),
+            flush(48),
+        ]
+    };
+    scenario(12, &rewrite(Op::Hold));
+    scenario(12, &rewrite(Op::Wait { ms: 5 }));
+    // Blocks 0 and 1 leave dirty, come back clean into the first run's
+    // reused page slot and are rewritten while resident: the rewrite's
+    // stamp makes them stale for the first run, so a one-block batch
+    // takes block 0 for the rewrite's run and leaves block 1 queued.
+    let ops = [write(1, 1, 0, 4), read(1, 2, 0, 2), read(1, 1, 0, 2), write(1, 1, 0, 2)];
+    scenario(4, &[&ops[..], &[flush(2), flush(48)]].concat());
+}
