@@ -159,6 +159,10 @@ struct Page {
     /// When the oldest unwritten data in each block was dirtied;
     /// meaningful only where `dirty` is set.
     dirty_since: [SimTime; PAGE_BLOCKS as usize],
+    /// The last stamp written into `dirty_since`, by this page or an
+    /// earlier user of its slab slot. Time never runs backwards, so no
+    /// stamp in the page is newer.
+    newest: SimTime,
 }
 
 /// Sparse paged index from block key to per-block state.
@@ -246,6 +250,7 @@ impl PagedIndex {
                     dirty: 0,
                     ext: [NIL; PAGE_BLOCKS as usize],
                     dirty_since: [SimTime::ZERO; PAGE_BLOCKS as usize],
+                    newest: SimTime::ZERO,
                 });
                 (self.pages.len() - 1) as u32
             }
@@ -449,6 +454,10 @@ struct SeqTrack {
 
 /// The block buffer cache. See the module docs for the interaction
 /// contract.
+///
+/// Precondition: `now` never decreases across calls. The flush path
+/// relies on it to trust a run's stamp without comparing every block
+/// (debug builds check it).
 #[derive(Debug)]
 pub struct BlockCache {
     config: CacheConfig,
@@ -487,6 +496,8 @@ pub struct BlockCache {
     stats: CacheStats,
     /// Non-empty flush batches handed to the flusher streams.
     flush_batches: u64,
+    /// The latest `now` seen, for the monotonic-time check.
+    clock: SimTime,
 }
 
 impl BlockCache {
@@ -511,7 +522,15 @@ impl BlockCache {
             evict_hint: NO_PAGE,
             stats: CacheStats::default(),
             flush_batches: 0,
+            clock: SimTime::ZERO,
         }
+    }
+
+    /// Record `now`, checking that time has not run backwards.
+    #[inline]
+    fn advance_clock(&mut self, now: SimTime) {
+        debug_assert!(now >= self.clock, "time ran backwards: {now:?} after {:?}", self.clock);
+        self.clock = now;
     }
 
     /// The configuration in force.
@@ -944,6 +963,7 @@ impl BlockCache {
             if dirty {
                 pg.dirty |= mask;
                 pg.dirty_since[run_range(i, k)].fill(now);
+                pg.newest = now;
                 self.dirty_blocks += k;
             }
             self.index.len += k as usize;
@@ -1014,6 +1034,7 @@ impl BlockCache {
         out: &mut ReadOutcome,
     ) {
         out.clear();
+        self.advance_clock(now);
         self.stats.read_calls += 1;
         self.stats.bytes_read += length;
         if length == 0 {
@@ -1117,6 +1138,7 @@ impl BlockCache {
         out: &mut WriteOutcome,
     ) {
         out.clear();
+        self.advance_clock(now);
         self.stats.write_calls += 1;
         self.stats.bytes_written += length;
         if length == 0 {
@@ -1172,6 +1194,9 @@ impl BlockCache {
         pg.dirty |= clean;
         let n = u64::from(clean.count_ones());
         self.dirty_blocks += n;
+        if clean != 0 {
+            pg.newest = now;
+        }
         for (i, len) in stretches(clean) {
             self.index.pages[p as usize].dirty_since[run_range(i, len)].fill(now);
             self.enqueue_flush((file_id, base + i), len, now);
@@ -1224,6 +1249,7 @@ impl BlockCache {
         max_bytes: u64,
         out: &mut Vec<ByteRange>,
     ) {
+        self.advance_clock(now);
         let start = out.len();
         // Blocks the budget still covers.
         let mut budget = max_bytes / self.config.block_size;
@@ -1244,12 +1270,24 @@ impl BlockCache {
                 Some(page) => {
                     // A stale entry (evicted, already flushed, or
                     // re-dirtied) no longer finds its block dirty with
-                    // the run's stamp, and is skipped. The stamp compare
-                    // runs over the whole page, which vectorises.
+                    // the run's stamp, and is skipped. Every block of the
+                    // run was stamped when the run was queued and any
+                    // later dirtying stamps it no earlier, so when the
+                    // page's newest stamp is the run's, every dirty block
+                    // in the segment is valid; otherwise only the dirty
+                    // ones are compared.
                     let pg = &mut self.index.pages[page as usize];
-                    let same = pg.dirty_since.iter().map(|&t| t == dirty_since);
-                    let same = same.enumerate().fold(0, |m, (i, s)| m | u64::from(s) << i);
-                    let mut take = pg.dirty & run_mask(i0, seg) & same;
+                    let mut take = pg.dirty & run_mask(i0, seg);
+                    if pg.newest != dirty_since {
+                        let mut dirty = take;
+                        while dirty != 0 {
+                            let i = dirty.trailing_zeros();
+                            dirty &= dirty - 1;
+                            if pg.dirty_since[i as usize] != dirty_since {
+                                take &= !(1 << i);
+                            }
+                        }
+                    }
                     let taken = if u64::from(take.count_ones()) < budget {
                         seg
                     } else {

@@ -56,6 +56,17 @@ impl CacheConfig {
         }
     }
 
+    /// The capacity in bytes of a `cache_mb` MB cache, or why it cannot
+    /// hold a `block_size`-byte block: the size in bytes must fit in a
+    /// `u64` and hold at least one block.
+    pub fn capacity_of_mb(cache_mb: u64, block_size: u64) -> Result<u64, &'static str> {
+        let capacity = cache_mb.checked_mul(MB).ok_or("the cache size is too large")?;
+        if capacity < block_size.max(1) {
+            return Err("the cache must hold at least one block");
+        }
+        Ok(capacity)
+    }
+
     /// The unbuffered baseline: no read-ahead, write-through.
     pub fn unbuffered(capacity: u64) -> CacheConfig {
         CacheConfig {

@@ -15,10 +15,10 @@
 //! served from the result cache. On the wire it is the report's compact
 //! JSON, the same bytes for every answer to one request.
 
+use buffer_cache::CacheConfig;
 use experiments::figures::fig8_config;
 use iosim::SimConfig;
 use serde::{Deserialize, Serialize, Value};
-use sim_core::units::MB;
 use std::fmt::Write;
 
 /// What one request asks the daemon to simulate (or report).
@@ -68,10 +68,7 @@ impl Fig8PointSpec {
         if self.cache_mb == 0 || self.block == 0 {
             return Err("fig8 point sizes must be positive");
         }
-        let capacity = self.cache_mb.checked_mul(MB).ok_or("cache_mb is too large")?;
-        if capacity < self.block {
-            return Err("the cache must hold at least one block");
-        }
+        let capacity = CacheConfig::capacity_of_mb(self.cache_mb, self.block)?;
         if self.scale == 0 {
             return Err("scale must be >= 1");
         }

@@ -23,6 +23,7 @@
 //! use "two identical venus programs … not sharing data sets" (§6.3).
 
 use crate::config::SimConfig;
+use crate::inflight::InFlight;
 use crate::metrics::{ProcessMetrics, SimReport};
 use crate::process::{ProcState, ProcessFeed, ProcessState};
 use buffer_cache::{BlockCache, ByteRange, ReadOutcome, WriteOutcome};
@@ -128,19 +129,6 @@ struct Placement {
     base: u64,
 }
 
-/// An in-flight background fetch: blocks `first..=last` of `file` whose
-/// data arrives at `ready`. Kept in a small list of DISJOINT ranges —
-/// re-marking trims older overlapping entries first — so probing a
-/// request span is a scan of the few in-flight fetches instead of a
-/// hash-map operation per block.
-#[derive(Debug, Clone, Copy)]
-struct PendingRange {
-    file: u32,
-    first: u64,
-    last: u64,
-    ready: SimTime,
-}
-
 /// The simulator. Construct, [`Simulation::add_process`], then
 /// [`Simulation::run`].
 pub struct Simulation {
@@ -163,9 +151,8 @@ pub struct Simulation {
     /// file bases never exceed the device capacity.
     slots_per_disk: u64,
     /// Blocks fetched by read-ahead or async demand whose data is still
-    /// in flight, as disjoint ranges. Expired entries are purged lazily
-    /// on probe.
-    pending: Vec<PendingRange>,
+    /// in flight, per file.
+    in_flight: InFlight,
     flush_busy: Vec<bool>,
     flush_queues: Vec<VecDeque<ByteRange>>,
     /// Running total of ranges across all `flush_queues`, maintained on
@@ -239,7 +226,7 @@ impl Simulation {
             queue: EventQueue::new(),
             placements: FxHashMap::default(),
             next_file_slot: vec![0; config.n_disks],
-            pending: Vec::new(),
+            in_flight: InFlight::default(),
             flush_busy: vec![false; config.n_disks],
             flush_queues: (0..config.n_disks).map(|_| VecDeque::new()).collect(),
             flush_queued: 0,
@@ -402,69 +389,15 @@ impl Simulation {
     }
 
     /// Wait required for still-in-flight read-ahead data covering the
-    /// range. Expired entries met along the way are dropped — they can
-    /// never contribute a wait again.
+    /// range.
     fn pending_wait(&mut self, now: SimTime, file: u32, offset: u64, length: u64) -> SimDuration {
-        if self.pending.is_empty() {
-            return SimDuration::ZERO;
-        }
         let (first, last) = self.block_span(offset, length);
-        let mut wait = SimDuration::ZERO;
-        let mut i = 0;
-        while i < self.pending.len() {
-            let e = self.pending[i];
-            if e.ready <= now {
-                self.pending.swap_remove(i);
-                continue;
-            }
-            if e.file == file && e.first <= last && first <= e.last {
-                wait = wait.max(e.ready.saturating_since(now));
-            }
-            i += 1;
-        }
-        wait
+        self.in_flight.wait(now, file, first, last)
     }
 
     fn mark_pending(&mut self, file: u32, offset: u64, length: u64, ready: SimTime) {
         let (first, last) = self.block_span(offset, length);
-        // Trim the new span out of any older overlapping entries (the
-        // new mark overrides block-for-block, like the per-block map this
-        // replaces), keeping the list disjoint.
-        let mut i = 0;
-        while i < self.pending.len() {
-            let e = self.pending[i];
-            if e.file == file && e.first <= last && first <= e.last {
-                let left = (e.first < first).then(|| PendingRange {
-                    file,
-                    first: e.first,
-                    last: first - 1,
-                    ready: e.ready,
-                });
-                let right = (e.last > last).then(|| PendingRange {
-                    file,
-                    first: last + 1,
-                    last: e.last,
-                    ready: e.ready,
-                });
-                match (left, right) {
-                    (Some(l), Some(r)) => {
-                        self.pending[i] = l;
-                        self.pending.push(r);
-                        i += 1;
-                    }
-                    (Some(part), None) | (None, Some(part)) => {
-                        self.pending[i] = part;
-                        i += 1;
-                    }
-                    (None, None) => {
-                        self.pending.swap_remove(i);
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-        self.pending.push(PendingRange { file, first, last, ready });
+        self.in_flight.mark(file, first, last, ready);
     }
 
     /// Divide a trace compute gap by the configured CPU-speed factor

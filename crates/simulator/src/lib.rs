@@ -45,6 +45,7 @@
 
 pub mod config;
 pub mod engine;
+mod inflight;
 pub mod metrics;
 pub mod process;
 pub mod sharded;

@@ -252,7 +252,10 @@ fn cmd_simulate(rest: &[String]) -> Result<(), String> {
     let cache = take_flag(&mut args, "--cache")?.unwrap_or_else(|| "32".to_string());
     let policy = take_flag(&mut args, "--policy")?.unwrap_or_else(|| "behind".to_string());
     let cpus = take_flag(&mut args, "--cpus")?
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --cpus".to_string()))
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err("bad --cpus (need a CPU count >= 1)".to_string()),
+        })
         .transpose()?
         .unwrap_or(1);
     let no_ra = take_switch(&mut args, "--no-readahead");
@@ -265,7 +268,10 @@ fn cmd_simulate(rest: &[String]) -> Result<(), String> {
         "ssd" => SimConfig::ssd(),
         mb => {
             let mb: u64 = mb.parse().map_err(|_| "bad --cache (MB|ssd|none)".to_string())?;
-            SimConfig { cache: Some(CacheConfig::buffered(mb * MB)), ..Default::default() }
+            let mut cache = CacheConfig::buffered(0);
+            cache.capacity = CacheConfig::capacity_of_mb(mb, cache.block_size)
+                .map_err(|e| format!("bad --cache: {e}"))?;
+            SimConfig { cache: Some(cache), ..Default::default() }
         }
     };
     config.n_cpus = cpus;

@@ -141,6 +141,17 @@ fn run_subcommands_reject_bad_flags_with_exit_2() {
         mio_status(&["submit", "--socket", "unused.sock", "--quick", "--fig8-point", "1:4194304"]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("at least one block"), "{err}");
+    // `mio simulate` checks its cache size and CPU count before it runs
+    // a real trace: no cache, one whose size in bytes overflows a u64,
+    // and no CPU.
+    let trace = tmp("bad-flags-gcm.trace");
+    let (_, err, ok) = mio(&["generate", "gcm", "--scale", "64", "-o", &trace]);
+    assert!(ok, "generate failed: {err}");
+    for (flag, value) in [("--cache", "0"), ("--cache", "17592186044416"), ("--cpus", "0")] {
+        let (code, err) = mio_status(&["simulate", &trace, flag, value]);
+        assert_eq!(code, Some(2), "{flag} {value}: {err}");
+        assert!(err.starts_with(&format!("mio: bad {flag}")), "{flag} {value}: {err}");
+    }
 }
 
 #[test]
