@@ -882,10 +882,7 @@ fn a_run_whose_page_holds_no_later_dirt_flushes_by_its_stamp_alone() {
     // budgets that end inside it, and after a run earlier in the same page
     // was flushed.
     scenario(32, &[write(1, 1, 0, 6), write(1, 2, 0, 6), flush(24), flush(48)]);
-    scenario(
-        32,
-        &[write(1, 1, 0, 6), flush(5), flush(3), flush(48), write(1, 1, 6, 4), flush(48)],
-    );
+    scenario(32, &[write(1, 1, 0, 6), flush(5), flush(3), flush(48), write(1, 1, 6, 4), flush(48)]);
 }
 
 #[test]

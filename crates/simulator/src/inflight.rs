@@ -110,8 +110,11 @@ mod tests {
                 .prop_map(|(file, first, len, delay)| Op::Mark { file, first, len, delay }),
             (0..FILES.len(), 0u64..40, 1u64..16, 0u64..6)
                 .prop_map(|(file, first, len, delay)| Op::Mark { file, first, len, delay }),
-            (0..FILES.len(), 0u64..40, 1u64..24)
-                .prop_map(|(file, first, len)| Op::Wait { file, first, len }),
+            (0..FILES.len(), 0u64..40, 1u64..24).prop_map(|(file, first, len)| Op::Wait {
+                file,
+                first,
+                len
+            }),
             (0u64..20).prop_map(|ticks| Op::Advance { ticks }),
         ]
     }
